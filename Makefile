@@ -41,10 +41,13 @@
 
 .PHONY: tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness bench bench-json fuzz fuzz-scenario
 
+# perfbench/ is its own module (the repository benchmark), so the root
+# commands never compile it; tier1 vets and tests it separately.
 tier1:
 	go build ./...
 	go vet ./...
 	go test ./...
+	cd perfbench && go vet ./... && go test ./...
 
 tier2: tier1 tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness
 	go test -race ./...
@@ -90,11 +93,11 @@ tier2-bench: tier1
 bench:
 	go test -bench=. -benchmem -run xxx . ./internal/gc/
 
-# Regenerate the committed benchmark snapshot (schema tagfree-bench/v1);
-# fixed repeats so snapshots are comparable across the repo's history.
-# Override the output for a new trajectory point:
-#   make bench-json BENCH_OUT=BENCH_PR10.json
-BENCH_OUT ?= BENCH_PR9.json
+# Regenerate the newest committed benchmark snapshot (schema
+# tagfree-bench/v1); fixed repeats so snapshots are comparable across the
+# repo's history. Override the output for a new trajectory point:
+#   make bench-json BENCH_OUT=BENCH_NEW.json
+BENCH_OUT ?= BENCH_PR10.json
 bench-json:
 	go run ./cmd/tfbench -repeats 3 -bench-json $(BENCH_OUT)
 

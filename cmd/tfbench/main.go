@@ -1,4 +1,4 @@
-// Command tfbench regenerates the experiment tables (E1–E16; see
+// Command tfbench regenerates the experiment tables (E1–E17; see
 // EXPERIMENTS.md). With arguments, it runs only the named experiments.
 //
 //	tfbench              # all experiments

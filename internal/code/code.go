@@ -426,6 +426,12 @@ type Program struct {
 	// design: both are rescanned as roots on every minor collection
 	// (the paper's frame-routine model).
 	StoreDescs map[int]*TypeDesc
+	// WideMaps marks a program whose site maps were widened to every
+	// pointer-bearing slot of the function (the no-liveness ablation). Such
+	// maps mention slots not yet written at the site, so the runtime must
+	// zero-fill frames at entry, as it does for the trace-everything
+	// strategies.
+	WideMaps bool
 }
 
 // FuncByName returns the index of the named function, or -1.

@@ -9,7 +9,8 @@
 // at a site is necessarily initialized there: the frame maps need no
 // separate definedness tracking. (The contrast is Appel-style per-procedure
 // descriptors, which must assume every variable exists and is initialized —
-// forcing frame zero-fill at entry; the VM models that cost in Appel mode.)
+// forcing frame zero-fill at entry; the interpreter models that cost in
+// Appel mode.)
 //
 // Allocation sites keep their operand slots live: the abstract machine
 // re-reads operands after a potential collection, so those slots must be in

@@ -200,6 +200,22 @@ type Telemetry struct {
 // ResilienceStats counts memory-pressure events and their outcomes: what
 // was injected (OOMs, forced collections, stalled workers) and how the
 // runtime recovered (growth, serial fallback) or did not (task faults).
+//
+// The recovery ladder has one definition. An allocation the heap cannot
+// serve first costs a routine collection, not counted here, when its task
+// can run it on the spot: a task with no siblings checks the heap before
+// allocating and collects in place. Every other way onto the ladder is a
+// climb:
+//   - an injected allocation failure;
+//   - a failed allocation in a group with siblings, where the task must
+//     suspend until every sibling reaches a safe point;
+//   - a collection (routine, or one the task was parked for) that left
+//     the allocation unsatisfied.
+//
+// A climb counts one emergency collection, except that climbs raised in
+// the same Rgc wave share its collection, and resolves exactly once: as
+// recovered when the allocation can proceed, as exhausted when its task
+// faults.
 type ResilienceStats struct {
 	// InjectedOOMs counts allocation failures forced by a FaultPlan.
 	InjectedOOMs int64 `json:"injected_ooms,omitempty"`
@@ -209,15 +225,13 @@ type ResilienceStats struct {
 	// SerialFallbacks counts the sequential re-runs that rescued them.
 	WatchdogTrips   int64 `json:"watchdog_trips,omitempty"`
 	SerialFallbacks int64 `json:"serial_fallbacks,omitempty"`
-	// EmergencyCollections counts collections triggered by an allocation
-	// failure (genuine or injected) rather than a Need pre-check.
+	// EmergencyCollections counts the collections climbs start (see above).
 	EmergencyCollections int64 `json:"emergency_collections,omitempty"`
-	// LadderRecovered counts ladder climbs (an emergency collection, or an
-	// escalation past the routine collect) whose retry finally succeeded;
-	// LadderExhausted counts climbs that ran out of rungs and ended in an
-	// allocation failure. Split so resilience stats distinguish genuine
-	// recovery from delay-of-death: an emergency-collect rung that merely
-	// preceded the fault is not a rescue.
+	// LadderRecovered counts climbs whose allocation could finally proceed;
+	// LadderExhausted counts climbs that ran out of rungs and faulted their
+	// task. Split so resilience stats distinguish genuine recovery from
+	// delay-of-death: an emergency collection that merely preceded the
+	// fault is not a rescue.
 	LadderRecovered int64 `json:"ladder_recovered,omitempty"`
 	LadderExhausted int64 `json:"ladder_exhausted,omitempty"`
 	// HeapGrowths counts recovery-ladder heap growths.

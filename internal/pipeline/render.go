@@ -10,7 +10,6 @@ import (
 	"tagfree/internal/compile/codegen"
 	"tagfree/internal/compile/gcanal"
 	"tagfree/internal/gc"
-	"tagfree/internal/heap"
 	"tagfree/internal/mlang/types"
 	"tagfree/internal/vm"
 )
@@ -51,24 +50,10 @@ func Eval(src string, opts Options) (*EvalResult, error) {
 		return nil, err
 	}
 
-	semi := opts.HeapWords
-	if semi == 0 {
-		semi = 1 << 16
-	}
-	var m *vm.VM
-	if opts.MarkSweep {
-		m, err = vm.NewWith(prog, heap.NewMarkSweep(prog.Repr, semi), opts.Strategy)
-	} else {
-		m, err = vm.New(prog, semi, opts.Strategy)
-	}
+	m, err := newMachine(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxSteps > 0 {
-		m.MaxSteps = opts.MaxSteps
-	}
-	m.Col.Parallelism = opts.Parallelism
-	m.Col.DisableFastPath = opts.DisableGCFastPath
 	raw, err := m.Run()
 	if err != nil {
 		return nil, err

@@ -284,6 +284,38 @@ let main () = churn () + trees () + boxes ()
 	}
 }
 
+// TestNoLivenessTortureTasks runs the E3 ablation (frame maps widened to
+// every pointer slot) on the task corpus with a collection at every
+// allocation and the verifier on. Widened maps name slots a frame has not
+// written yet, so task frames must be zero-filled exactly like
+// single-task ones; a stale slot would be traced as a pointer.
+func TestNoLivenessTortureTasks(t *testing.T) {
+	for _, w := range workloads.Tasking {
+		t.Run(w.Name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			res, err := RunTasks(w.Source, w.Entries, Options{
+				Strategy:        gc.StratCompiled,
+				HeapWords:       4096,
+				DisableLiveness: true,
+				Torture:         true,
+				VerifyHeap:      true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range w.Expect {
+				if res.Faults[i] != nil || res.Values[i] != e {
+					t.Fatalf("task %d = %d (fault %v), want %d", i, res.Values[i], res.Faults[i], e)
+				}
+			}
+		})
+	}
+}
+
 // TestTortureCorpusFull is the heavyweight stress pass: the entire task
 // corpus under torture with the verifier on, every legal configuration.
 // Several minutes of wall clock, so it only runs when GC_TORTURE_FULL is

@@ -76,70 +76,9 @@ func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Gro
 		}
 	}
 
-	semi := opts.HeapWords
-	if semi == 0 {
-		semi = 1 << 16
-	}
-	var h *heap.Heap
-	if opts.MarkSweep {
-		if opts.Strategy == gc.StratTagged {
-			return nil, nil, fmt.Errorf("mark/sweep is implemented for the tag-free strategies")
-		}
-		h = heap.NewMarkSweep(prog.Repr, semi)
-	} else {
-		h = heap.New(prog.Repr, semi)
-	}
-	if err := opts.validateShards(); err != nil {
-		return nil, nil, err
-	}
-	if opts.NurseryWords > 0 {
-		if opts.Strategy == gc.StratTagged {
-			return nil, nil, fmt.Errorf("the generational nursery requires a tag-free strategy")
-		}
-		promote := opts.PromoteAfter
-		if promote == 0 {
-			promote = 2
-		}
-		shards := opts.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		h.EnableNurseryShards(opts.NurseryWords, promote, shards)
-	}
-	group, err := tasking.NewGroupWith(prog, h, opts.Strategy, nil)
+	group, err := newGroup(prog, opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	group.Col.Parallelism = opts.Parallelism
-	group.Col.DisableFastPath = opts.DisableGCFastPath
-	group.Col.Faults = opts.faultPlan()
-	if opts.VerifyHeap {
-		group.Col.Verify = true
-		group.Heap.SetVerify(true)
-	}
-	group.GrowFactor = opts.GrowFactor
-	group.MaxHeapWords = opts.MaxHeapWords
-	group.TLABWords = opts.TLABWords
-	if opts.Shards > 1 {
-		group.Shards = opts.Shards
-		group.ShardAssign = opts.ShardAssign
-	}
-	if err := opts.validateConcurrent(); err != nil {
-		return nil, nil, err
-	}
-	group.GCConcurrent = opts.GCConcurrent
-	group.ConcTriggerPct = opts.ConcTriggerPct
-	group.Col.ConcMarkBudget = opts.ConcMarkBudget
-	group.Col.ConcMaxSlices = opts.ConcMaxSlices
-	group.Col.HeapLiveness = opts.GCHeapLiveness
-	group.PoisonPruned = opts.PoisonPruned
-	group.BudgetSteps = opts.BudgetSteps
-	group.BudgetAllocWords = opts.BudgetAllocWords
-	if opts.SuspendAtAllocs {
-		group.Policy = tasking.SuspendAtAllocs
-	}
-	if opts.MaxSteps > 0 {
-		group.MaxSteps = opts.MaxSteps
 	}
 	return group, entries, nil
 }

@@ -224,3 +224,21 @@ func TestRawWordDecoding(t *testing.T) {
 		t.Error("tagged raw bool decode failed")
 	}
 }
+
+// TestInitRunsLikeMain pins that the init function is part of the run: its
+// printed output precedes main's, and the step limit covers it too.
+func TestInitRunsLikeMain(t *testing.T) {
+	res := run(t, "let x = (print_int 7; 3)\nlet main () = (print_int x; x)", gc.StratCompiled, 1024)
+	if res.Output != "73" {
+		t.Fatalf("output %q, want \"73\"", res.Output)
+	}
+	src := `
+let rec spin n = if n = 0 then 0 else spin n
+let x = spin 1
+let main () = x
+`
+	_, err := pipeline.Run(src, pipeline.Options{Strategy: gc.StratCompiled, MaxSteps: 10_000})
+	if err == nil || !strings.Contains(err.Error(), "step limit") {
+		t.Fatalf("got %v, want step limit error", err)
+	}
+}
