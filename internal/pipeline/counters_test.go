@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tagfree/internal/gc"
 	"tagfree/internal/workloads"
 )
 
@@ -105,4 +106,106 @@ thunks/compiled instr=10568 calls=1021 clos=300 allocs=1500 zfill=0 stack=452 de
 thunks/interp instr=10568 calls=1021 clos=300 allocs=1500 zfill=0 stack=452 depth=43 gcs=3 frames=87 slots=21 objs=39 walloc=3300 wcopied=96 peak=32
 thunks/appel instr=10568 calls=1021 clos=300 allocs=1500 zfill=9910 stack=452 depth=43 gcs=3 frames=87 slots=117 objs=39 walloc=3300 wcopied=96 peak=32
 thunks/tagged instr=10568 calls=1021 clos=300 allocs=1500 zfill=9910 stack=452 depth=43 gcs=4 frames=112 slots=0 objs=72 walloc=4800 wcopied=252 peak=63
+`
+
+// taskGroupCounters renders one task-group run's task values and
+// deterministic work counters, including the collection fast path's cache
+// traffic: equal plan and site-cache counts mean the frame-plan and
+// pc→site caches were consulted, and missed, at exactly the same points.
+func taskGroupCounters(name string, res *TaskResult) string {
+	g, h := res.GCStats, res.Heap
+	return fmt.Sprintf("%s values=%v instr=%d gcs=%d frames=%d slots=%d objs=%d wcopied=%d peak=%d plan=%d/%d site=%d/%d typegc=%d",
+		name, res.Values, res.Stats.Instructions, g.Collections, g.FramesTraced, g.SlotsTraced,
+		g.ObjectsCopied, h.WordsCopied, h.PeakLive, g.PlanHits, g.PlanMisses,
+		g.SiteCacheHits, g.SiteCacheMisses, g.TypeGCBuilt)
+}
+
+// TestTaskGroupCountersGolden pins the task corpus's values and exact
+// deterministic counters under all four strategies, copying and (for the
+// tag-free strategies) mark/sweep, with default options at each workload's
+// heap size.
+func TestTaskGroupCountersGolden(t *testing.T) {
+	var got []string
+	for _, w := range workloads.Tasking {
+		for _, strat := range Strategies {
+			for _, ms := range []bool{false, true} {
+				if ms && strat == gc.StratTagged {
+					continue
+				}
+				name := fmt.Sprintf("%s/%v", w.Name, strat)
+				if ms {
+					name += "/ms"
+				}
+				res, err := RunTasks(w.Source, w.Entries, Options{Strategy: strat, MarkSweep: ms, HeapWords: w.HeapWords})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if fmt.Sprint(res.Values) != fmt.Sprint(w.Expect) {
+					t.Fatalf("%s: values %v, want %v", name, res.Values, w.Expect)
+				}
+				got = append(got, taskGroupCounters(name, res))
+			}
+		}
+	}
+	want := strings.Split(strings.TrimSpace(taskGroupCountersWant), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d lines:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range got {
+		if got[i] != strings.TrimSpace(want[i]) {
+			t.Errorf("counters differ:\n  got  %s\n  want %s", got[i], strings.TrimSpace(want[i]))
+		}
+	}
+}
+
+const taskGroupCountersWant = `
+taskchurn/compiled values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=6 objs=72 wcopied=144 peak=48 plan=459/9 site=459/9 typegc=2
+taskchurn/compiled/ms values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=6 objs=72 wcopied=144 peak=48 plan=459/9 site=459/9 typegc=2
+taskchurn/interp values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=6 objs=72 wcopied=144 peak=48 plan=0/0 site=459/9 typegc=2
+taskchurn/interp/ms values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=6 objs=72 wcopied=144 peak=48 plan=0/0 site=459/9 typegc=2
+taskchurn/appel values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=588 objs=72 wcopied=144 peak=48 plan=0/0 site=10452/9 typegc=2
+taskchurn/appel/ms values=[13000 14000 15000 16000] instr=87561 gcs=3 frames=468 slots=588 objs=72 wcopied=144 peak=48 plan=0/0 site=10452/9 typegc=2
+taskchurn/tagged values=[13000 14000 15000 16000] instr=87573 gcs=6 frames=900 slots=0 objs=492 wcopied=1476 peak=246 plan=0/0 site=0/0 typegc=0
+tasktree/compiled values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=100 objs=1998 wcopied=5994 peak=666 plan=642/9 site=642/9 typegc=2
+tasktree/compiled/ms values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=100 objs=1998 wcopied=5994 peak=666 plan=642/9 site=642/9 typegc=2
+tasktree/interp values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=100 objs=1998 wcopied=5994 peak=666 plan=0/0 site=642/9 typegc=2
+tasktree/interp/ms values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=100 objs=1998 wcopied=5994 peak=666 plan=0/0 site=642/9 typegc=2
+tasktree/appel values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=687 objs=1998 wcopied=5994 peak=666 plan=0/0 site=9642/9 typegc=2
+tasktree/appel/ms values=[7410 7410 7410] instr=424939 gcs=9 frames=651 slots=687 objs=1998 wcopied=5994 peak=666 plan=0/0 site=9642/9 typegc=2
+tasktree/tagged values=[7410 7410 7410] instr=424954 gcs=14 frames=1000 slots=0 objs=3668 wcopied=14672 peak=1048 plan=0/0 site=0/0 typegc=0
+taskpoly/compiled values=[5050 6050] instr=12823 gcs=4 frames=448 slots=8 objs=16 wcopied=32 peak=8 plan=440/8 site=440/8 typegc=5
+taskpoly/compiled/ms values=[5050 6050] instr=12823 gcs=4 frames=448 slots=8 objs=16 wcopied=32 peak=8 plan=440/8 site=440/8 typegc=5
+taskpoly/interp values=[5050 6050] instr=12823 gcs=4 frames=448 slots=8 objs=16 wcopied=32 peak=8 plan=0/0 site=440/8 typegc=5
+taskpoly/interp/ms values=[5050 6050] instr=12823 gcs=4 frames=448 slots=8 objs=16 wcopied=32 peak=8 plan=0/0 site=440/8 typegc=5
+taskpoly/appel values=[5050 6050] instr=12823 gcs=4 frames=448 slots=44 objs=16 wcopied=32 peak=8 plan=0/0 site=15438/8 typegc=5
+taskpoly/appel/ms values=[5050 6050] instr=12823 gcs=4 frames=448 slots=44 objs=16 wcopied=32 peak=8 plan=0/0 site=15438/8 typegc=5
+taskpoly/tagged values=[5050 6050] instr=12828 gcs=7 frames=728 slots=0 objs=32 wcopied=96 peak=24 plan=0/0 site=0/0 typegc=0
+taskmutate/compiled values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=62 objs=2592 wcopied=5004 peak=856 plan=520/12 site=520/12 typegc=4
+taskmutate/compiled/ms values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=62 objs=2592 wcopied=5004 peak=856 plan=520/12 site=520/12 typegc=4
+taskmutate/interp values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=62 objs=2592 wcopied=5004 peak=856 plan=0/0 site=520/12 typegc=4
+taskmutate/interp/ms values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=62 objs=2592 wcopied=5004 peak=856 plan=0/0 site=520/12 typegc=4
+taskmutate/appel values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=1191 objs=2592 wcopied=5004 peak=856 plan=0/0 site=9096/12 typegc=4
+taskmutate/appel/ms values=[23400 28400 32400] instr=266857 gcs=6 frames=532 slots=1191 objs=2592 wcopied=5004 peak=856 plan=0/0 site=9096/12 typegc=4
+taskmutate/tagged values=[23400 28400 32400] instr=266872 gcs=11 frames=970 slots=0 objs=4739 wcopied=13887 peak=1287 plan=0/0 site=0/0 typegc=0
+taskdeep/compiled values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=57 objs=26 wcopied=52 peak=8 plan=1521/14 site=1527/8 typegc=5
+taskdeep/compiled/ms values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=57 objs=26 wcopied=52 peak=8 plan=1521/14 site=1527/8 typegc=5
+taskdeep/interp values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=57 objs=26 wcopied=52 peak=8 plan=0/0 site=1527/8 typegc=5
+taskdeep/interp/ms values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=57 objs=26 wcopied=52 peak=8 plan=0/0 site=1527/8 typegc=5
+taskdeep/appel values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=1577 objs=26 wcopied=52 peak=8 plan=0/0 site=81984/8 typegc=5
+taskdeep/appel/ms values=[1500 1500] instr=39319 gcs=11 frames=1535 slots=1577 objs=26 wcopied=52 peak=8 plan=0/0 site=81984/8 typegc=5
+taskdeep/tagged values=[1500 1500] instr=39331 gcs=17 frames=2576 slots=0 objs=51 wcopied=153 peak=9 plan=0/0 site=0/0 typegc=0
+taskspine/compiled values=[27940 28940 29940] instr=119965 gcs=7 frames=1040 slots=41 objs=1979 wcopied=3958 peak=608 plan=1030/10 site=1030/10 typegc=4
+taskspine/compiled/ms values=[27940 28940 29940] instr=119965 gcs=7 frames=1040 slots=41 objs=1979 wcopied=3958 peak=608 plan=1030/10 site=1030/10 typegc=4
+taskspine/interp values=[27940 28940 29940] instr=119965 gcs=7 frames=1040 slots=41 objs=1979 wcopied=3958 peak=608 plan=0/0 site=1030/10 typegc=4
+taskspine/interp/ms values=[27940 28940 29940] instr=119965 gcs=7 frames=1040 slots=41 objs=1979 wcopied=3958 peak=608 plan=0/0 site=1030/10 typegc=4
+taskspine/appel values=[27940 28940 29940] instr=119965 gcs=7 frames=1071 slots=1766 objs=2098 wcopied=4196 peak=608 plan=0/0 site=34197/10 typegc=4
+taskspine/appel/ms values=[27940 28940 29940] instr=119965 gcs=7 frames=1071 slots=1766 objs=2098 wcopied=4196 peak=608 plan=0/0 site=34197/10 typegc=4
+taskspine/tagged values=[27940 28940 29940] instr=119986 gcs=14 frames=1895 slots=0 objs=4448 wcopied=13344 peak=966 plan=0/0 site=0/0 typegc=0
+taskserve/compiled values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=4 objs=72 wcopied=144 peak=48 plan=195/7 site=195/7 typegc=2
+taskserve/compiled/ms values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=4 objs=72 wcopied=144 peak=48 plan=195/7 site=195/7 typegc=2
+taskserve/interp values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=4 objs=72 wcopied=144 peak=48 plan=0/0 site=195/7 typegc=2
+taskserve/interp/ms values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=4 objs=72 wcopied=144 peak=48 plan=0/0 site=195/7 typegc=2
+taskserve/appel values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=88 objs=72 wcopied=144 peak=48 plan=0/0 site=6593/7 typegc=2
+taskserve/appel/ms values=[650 2600 7800 31200] instr=71143 gcs=3 frames=202 slots=88 objs=72 wcopied=144 peak=48 plan=0/0 site=6593/7 typegc=2
+taskserve/tagged values=[650 2600 7800 31200] instr=71145 gcs=4 frames=266 slots=0 objs=78 wcopied=234 peak=96 plan=0/0 site=0/0 typegc=0
 `
