@@ -1,10 +1,11 @@
 # Test tiers. tier1 is the gate every change must pass; tier2 adds the
-# race detector over the parallel-collection paths and a fresh (uncached)
-# run of the cross-strategy differential suite. tier2-torture is the
+# race detector over every package and a fresh (uncached) run of the
+# cross-strategy differential suite. tier2-torture is the
 # heavyweight stress pass: the full task corpus with a collection before
 # every allocation and the post-collection heap verifier on, under the
 # race detector. tier2-bench is the benchmark-harness race smoke: the
-# pause harness with 4 workers over the lock-free plan/site caches.
+# pause harness and the fast-path suites, which exercise the plan and
+# site caches.
 # tier2-nursery is the generational stress pass: the nursery differential
 # suite and write-barrier fuzz under the race detector, plus the nursery
 # telemetry corpus with torture collection and the heap verifier on.
@@ -84,12 +85,12 @@ tier2-liveness:
 	go run -race ./cmd/tfbench -scenario testdata/scenarios/liveness-torture.tfs >/dev/null
 
 tier2-torture: tier1
-	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/
+	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder' -count=1 -timeout 30m ./internal/pipeline/
 
 tier2-bench: tier1
 	go test -race -run 'TestBenchSnapshot|TestFastPath' -count=1 ./internal/experiments/ ./internal/gc/ ./internal/pipeline/
 
-# Go micro-benchmarks (slot dedupe, parallel collect, E1-E8 mirrors).
+# Go micro-benchmarks (slot dedupe, collection pause, E1-E8 mirrors).
 bench:
 	go test -bench=. -benchmem -run xxx . ./internal/gc/
 

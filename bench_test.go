@@ -259,14 +259,11 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel collection benchmarks: Collect on a realistic mid-execution
-// root set with 1, 2 and 4 workers. RunUntilCollection schedules the task
-// group until a stop-the-world collection is due and hands back the roots
-// without collecting; Collect may then run repeatedly on them (each
-// collection leaves the stacks consistent for the next). On multi-core
-// hardware the 4-worker rows should beat the sequential oracle; the
-// parallel path guarantees bit-identical heaps either way, so this is a
-// pure speedup knob.
+// Collection benchmarks: Collect on a realistic mid-execution root set.
+// RunUntilCollection schedules the task group until a stop-the-world
+// collection is due and hands back the roots without collecting; Collect
+// may then run repeatedly on them (each collection leaves the stacks
+// consistent for the next).
 // ---------------------------------------------------------------------------
 
 // benchCollectGroup compiles a task workload and schedules it up to its
@@ -306,16 +303,26 @@ func benchCollectGroup(b *testing.B, w workloads.TaskWorkload, strat gc.Strategy
 	return g, roots
 }
 
-func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
-	kind := "copying"
-	if ms {
-		kind = "marksweep"
+// BenchmarkCollect measures the collection pause of the compiled strategy
+// in both heap disciplines, and of Appel mode, whose root resolution is the
+// most expensive (the O(n²) chain re-walks).
+func BenchmarkCollect(b *testing.B) {
+	configs := []struct {
+		strat gc.Strategy
+		ms    bool
+	}{
+		{gc.StratCompiled, false},
+		{gc.StratCompiled, true},
+		{gc.StratAppel, false},
 	}
-	for _, w := range workloads.Tasking {
-		for _, par := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/%s/par=%d", w.Name, kind, par), func(b *testing.B) {
-				g, roots := benchCollectGroup(b, w, strat, ms)
-				g.Col.Parallelism = par
+	for _, cfg := range configs {
+		kind := "copying"
+		if cfg.ms {
+			kind = "marksweep"
+		}
+		for _, w := range workloads.Tasking {
+			b.Run(fmt.Sprintf("%v/%s/%s", cfg.strat, kind, w.Name), func(b *testing.B) {
+				g, roots := benchCollectGroup(b, w, cfg.strat, cfg.ms)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					g.Col.Collect(roots, g.Globals)
@@ -324,13 +331,3 @@ func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
 		}
 	}
 }
-
-// BenchmarkParallelCollect measures the compiled strategy's collection
-// pause against worker count, in both heap disciplines.
-func BenchmarkParallelCollect(b *testing.B)          { benchParallelCollect(b, gc.StratCompiled, false) }
-func BenchmarkParallelCollectMarkSweep(b *testing.B) { benchParallelCollect(b, gc.StratCompiled, true) }
-
-// BenchmarkParallelCollectAppel isolates the strategy whose root
-// resolution is the most expensive (the O(n²) chain re-walks): resolution
-// parallelizes, so Appel mode gains the most from extra workers.
-func BenchmarkParallelCollectAppel(b *testing.B) { benchParallelCollect(b, gc.StratAppel, false) }

@@ -28,7 +28,6 @@ import (
 
 func main() {
 	repeats := flag.Int("repeats", 3, "timing repetitions (best-of)")
-	par := flag.Int("par", 1, "parallel collection workers for the telemetry report")
 	asJSON := flag.Bool("json", false, "emit the telemetry report as JSON instead of tables")
 	verifyHeap := flag.Bool("verify-heap", false, "verify heap invariants after every collection (telemetry report)")
 	torture := flag.Bool("gc-torture", false, "collect before every allocation (telemetry report)")
@@ -78,7 +77,7 @@ func main() {
 	}
 	for _, name := range selected {
 		if strings.EqualFold(name, "telemetry") {
-			telemetryReport(*par, *asJSON, *verifyHeap, *torture, *nursery, *tlab, *gcConc, *shards, *heapLive)
+			telemetryReport(*asJSON, *verifyHeap, *torture, *nursery, *tlab, *gcConc, *shards, *heapLive)
 			continue
 		}
 		r, ok := runners[strings.ToLower(name)]
@@ -167,14 +166,13 @@ func writeBenchSnapshot(path string, repeats int) {
 // generationally (tier2-nursery combines all three under -race); tlab > 0
 // gives each task a private allocation buffer of that many words and grows
 // the refill/fast/shared/waste columns plus the cumulative tlab line.
-func telemetryReport(par int, asJSON, verify, torture bool, nursery, tlab int, conc bool, shards int, heapLive bool) {
+func telemetryReport(asJSON, verify, torture bool, nursery, tlab int, conc bool, shards int, heapLive bool) {
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
 			opts := pipeline.Options{
 				Strategy:       gc.StratCompiled,
 				HeapWords:      w.HeapWords,
 				MarkSweep:      ms,
-				Parallelism:    par,
 				VerifyHeap:     verify,
 				Torture:        torture,
 				NurseryWords:   nursery,
@@ -184,9 +182,9 @@ func telemetryReport(par int, asJSON, verify, torture bool, nursery, tlab int, c
 			if shards > 1 && nursery > 0 {
 				opts.Shards = shards
 			}
-			if conc && ms && nursery == 0 && par <= 1 {
+			if conc && ms && nursery == 0 {
 				// -gc-concurrent applies only where the incremental marker
-				// exists: the sequential, non-nursery mark/sweep rows.
+				// exists: the non-nursery mark/sweep rows.
 				opts.GCConcurrent = true
 			}
 			res, err := pipeline.RunTasks(w.Source, w.Entries, opts)

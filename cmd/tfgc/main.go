@@ -11,8 +11,7 @@
 //
 // Collector knobs shared by run and tasks: -marksweep switches the heap
 // discipline from semispace copying to mark/sweep (tag-free strategies
-// only), -par N scans task stacks with N parallel workers, and -gc-stats
-// prints the per-collection telemetry table after the program's output.
+// only), and -gc-stats prints the per-collection telemetry table after the program's output.
 // -gc-nofastpath reverts the compiled strategy to uncached root
 // resolution (the E10 oracle) for A/B pause comparisons. -gc-nursery N
 // enables a generational nursery of N words per young half (tag-free
@@ -99,7 +98,6 @@ func cli(args []string, stdout io.Writer) error {
 	entries := fs.String("entry", "", "comma-separated task entry functions (tasks command)")
 	noElide := fs.Bool("no-elide", false, "keep gc_words on every call site")
 	markSweep := fs.Bool("marksweep", false, "mark/sweep heap discipline instead of semispace copying")
-	par := fs.Int("par", 1, "parallel collection workers (1 = sequential)")
 	gcStats := fs.Bool("gc-stats", false, "print per-collection GC telemetry after the run")
 	verifyHeap := fs.Bool("verify-heap", false, "verify heap invariants after every collection")
 	torture := fs.Bool("gc-torture", false, "collect before every allocation")
@@ -140,7 +138,6 @@ func cli(args []string, stdout io.Writer) error {
 		HeapWords:            *heap,
 		DisableGCWordElision: *noElide,
 		MarkSweep:            *markSweep,
-		Parallelism:          *par,
 		VerifyHeap:           *verifyHeap,
 		Torture:              *torture,
 		DisableGCFastPath:    *noFastPath,

@@ -15,7 +15,7 @@
 //	tfserve -scenario testdata/scenarios/overload.tfs   # declarative overload matrix
 //
 // Flags mirror tfgc/tfbench: the collector knobs (-gc, -heap, -marksweep,
-// -par, -gc-nursery, -gc-promote, -tlab), the robustness knobs
+// -gc-nursery, -gc-promote, -tlab), the robustness knobs
 // (-verify-heap, -gc-torture, -fail-alloc, -fail-every, -fail-refills,
 // -heap-grow, -heap-max), and -gc-stats for the per-collection telemetry
 // table. Budgets (-budget-steps, -budget-alloc) terminate any task that
@@ -68,7 +68,6 @@ func cli(args []string, stdout io.Writer) error {
 	gcName := fs.String("gc", "compiled", "collector: compiled, interp, appel, tagged")
 	heap := fs.Int("heap", 0, "semispace size in words (0 = the workload's recommendation)")
 	markSweep := fs.Bool("marksweep", false, "mark/sweep heap discipline instead of semispace copying")
-	par := fs.Int("par", 1, "parallel collection workers (1 = sequential)")
 	nursery := fs.Int("gc-nursery", 0, "generational nursery size in words per young half (0 = off)")
 	promote := fs.Int("gc-promote", 0, "nursery survival count before promotion (0 = default of 2)")
 	tlab := fs.Int("tlab", 0, "per-task allocation buffer chunk in words (0 = off)")
@@ -138,7 +137,6 @@ func cli(args []string, stdout io.Writer) error {
 			Strategy:         strat,
 			HeapWords:        heapWords,
 			MarkSweep:        *markSweep,
-			Parallelism:      *par,
 			NurseryWords:     *nursery,
 			PromoteAfter:     *promote,
 			TLABWords:        *tlab,

@@ -31,9 +31,8 @@ type BenchRun struct {
 	Workload string `json:"workload"`
 	Strategy string `json:"strategy"`
 	// Discipline is "copying" or "mark/sweep".
-	Discipline  string `json:"discipline"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	FastPath    bool   `json:"fast_path"`
+	Discipline string `json:"discipline"`
+	FastPath   bool   `json:"fast_path"`
 
 	// collect-pause fields: Collections repeated gc.Collect calls on one
 	// captured mid-execution root set.
@@ -49,10 +48,10 @@ type BenchRun struct {
 	KernelWords   int64 `json:"kernel_words,omitempty"`
 
 	// e2e fields: best-of-repeats whole-program wall time.
-	RunNS       int64 `json:"run_ns,omitempty"`
-	AllocWords  int64 `json:"alloc_words,omitempty"`
-	GCPauseNS   int64 `json:"gc_pause_ns,omitempty"`
-	GCCount     int64 `json:"gc_count,omitempty"`
+	RunNS      int64 `json:"run_ns,omitempty"`
+	AllocWords int64 `json:"alloc_words,omitempty"`
+	GCPauseNS  int64 `json:"gc_pause_ns,omitempty"`
+	GCCount    int64 `json:"gc_count,omitempty"`
 
 	// minor-pause fields. The pause percentiles come from repeated minor
 	// then full collections of the same captured root set on a nursery
@@ -176,9 +175,8 @@ func percentile(sorted []int64, p float64) int64 {
 // collectPauseRun measures `collections` repeated collections of one
 // captured root set under the given knobs, plus the mean cost of the
 // pure resolution half (Collector.ResolveRoots).
-func collectPauseRun(w workloads.TaskWorkload, ms bool, par int, fast bool, collections int) BenchRun {
+func collectPauseRun(w workloads.TaskWorkload, ms bool, fast bool, collections int) BenchRun {
 	g, roots := benchGroup(w, ms, 0, 0)
-	g.Col.Parallelism = par
 	g.Col.DisableFastPath = !fast
 	for i := 0; i < collections; i++ {
 		g.Col.Collect(roots, g.Globals)
@@ -211,12 +209,11 @@ func collectPauseRun(w workloads.TaskWorkload, ms bool, par int, fast bool, coll
 		mode = "fast"
 	}
 	return BenchRun{
-		Name:          fmt.Sprintf("collect/%s/%s/%s/par%d", w.Name, discipline, mode, par),
+		Name:          fmt.Sprintf("collect/%s/%s/%s", w.Name, discipline, mode),
 		Kind:          "collect-pause",
 		Workload:      w.Name,
 		Strategy:      "compiled",
 		Discipline:    discipline,
-		Parallelism:   par,
 		FastPath:      fast,
 		Collections:   collections,
 		PauseP50NS:    percentile(pauses, 0.50),
@@ -343,7 +340,6 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) BenchRun 
 		Workload:         w.Name,
 		Strategy:         "compiled",
 		Discipline:       discipline,
-		Parallelism:      1,
 		FastPath:         true,
 		Collections:      collections,
 		NurseryWords:     benchNurseryWords,
@@ -447,17 +443,15 @@ func allocContentionRun(w workloads.TaskWorkload, tlab, repeats int) BenchRun {
 const benchCollections = 150
 
 // Bench produces the full snapshot: every task workload × discipline ×
-// {oracle, fast} × {sequential, 4 workers} pause runs, plus end-to-end
+// {oracle, fast} pause runs, plus end-to-end
 // runs over the allocation-heavy corpus with the fast path on and off,
 // plus allocation-contention runs with buffers off and on.
 func Bench(repeats int) *BenchSnapshot {
 	snap := &BenchSnapshot{Schema: BenchSchema, Repeats: repeats}
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				for _, fast := range []bool{false, true} {
-					snap.Runs = append(snap.Runs, collectPauseRun(w, ms, par, fast, benchCollections))
-				}
+			for _, fast := range []bool{false, true} {
+				snap.Runs = append(snap.Runs, collectPauseRun(w, ms, fast, benchCollections))
 			}
 		}
 	}
@@ -509,7 +503,7 @@ func Bench(repeats int) *BenchSnapshot {
 
 // E10FastPath splits the compiled strategy's pause into its
 // metadata-resolution and trace halves, cached (fast path) against
-// uncached (oracle), sequentially and with 4 workers. The uncached
+// uncached (oracle). The uncached
 // resolution share is the cost the paper's per-frame protocol pays every
 // collection; the cached column is what remains once frame plans, site
 // lookups and kernels are memoized across frames and collections.
@@ -518,29 +512,26 @@ func E10FastPath() *Table {
 		ID:    "E10",
 		Title: "collection fast path: pause breakdown, cached vs uncached",
 		Claim: "compiled-mode pauses are dominated by re-deriving per-frame metadata that is invariant across frames and collections; memoizing it shrinks the pause without changing a single heap word",
-		Header: []string{"workload", "par", "pause/GC uncached", "pause/GC cached", "speedup",
+		Header: []string{"workload", "pause/GC uncached", "pause/GC cached", "speedup",
 			"resolve uncached", "resolve cached", "plan hit%", "kernel words/GC"},
 	}
 	for _, w := range workloads.Tasking {
-		for _, par := range []int{1, 4} {
-			oracle := collectPauseRun(w, false, par, false, benchCollections)
-			fast := collectPauseRun(w, false, par, true, benchCollections)
-			hitPct := "-"
-			if fast.PlanHits+fast.PlanMisses > 0 {
-				hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))
-			}
-			t.Rows = append(t.Rows, []string{
-				w.Name,
-				fmt.Sprint(par),
-				fmt.Sprint(oracle.PauseP50NS),
-				fmt.Sprint(fast.PauseP50NS),
-				ratio(oracle.PauseP50NS, fast.PauseP50NS),
-				fmt.Sprint(oracle.ResolveMeanNS),
-				fmt.Sprint(fast.ResolveMeanNS),
-				hitPct,
-				fmt.Sprint(fast.KernelWords / int64(benchCollections)),
-			})
+		oracle := collectPauseRun(w, false, false, benchCollections)
+		fast := collectPauseRun(w, false, true, benchCollections)
+		hitPct := "-"
+		if fast.PlanHits+fast.PlanMisses > 0 {
+			hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))
 		}
+		t.Rows = append(t.Rows, []string{
+			w.Name,
+			fmt.Sprint(oracle.PauseP50NS),
+			fmt.Sprint(fast.PauseP50NS),
+			ratio(oracle.PauseP50NS, fast.PauseP50NS),
+			fmt.Sprint(oracle.ResolveMeanNS),
+			fmt.Sprint(fast.ResolveMeanNS),
+			hitPct,
+			fmt.Sprint(fast.KernelWords / int64(benchCollections)),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"pause/GC is the p50 of 150 repeated collections of one captured mid-execution root set (copying discipline)",

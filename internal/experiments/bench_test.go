@@ -39,30 +39,26 @@ func TestPercentile(t *testing.T) {
 
 // TestBenchSnapshotSmoke exercises the bench harness end to end on a
 // reduced schedule: one pause run per knob combination on the deep-stack
-// workload, 4 workers included, plus one e2e run — and checks the
-// snapshot marshals under the documented schema. `make tier2-bench` runs
-// this under the race detector, so the 4-worker rows double as a race
-// smoke over the lock-free plan/site caches.
+// workload, plus one e2e run — and checks the snapshot marshals under the
+// documented schema.
 func TestBenchSnapshotSmoke(t *testing.T) {
 	w, ok := workloads.TaskByName("taskdeep")
 	if !ok {
 		t.Fatal("taskdeep workload missing")
 	}
 	snap := &BenchSnapshot{Schema: BenchSchema, Repeats: 1}
-	for _, par := range []int{1, 4} {
-		for _, fast := range []bool{false, true} {
-			r := collectPauseRun(w, false, par, fast, 20)
-			if r.Collections != 20 || r.PauseP50NS <= 0 || r.ResolveMeanNS <= 0 || r.RootsPerGC <= 0 {
-				t.Fatalf("degenerate pause run: %+v", r)
-			}
-			if fast && r.PlanHits == 0 {
-				t.Fatalf("fast run never hit the plan cache: %+v", r)
-			}
-			if !fast && (r.PlanHits != 0 || r.KernelWords != 0) {
-				t.Fatalf("oracle run used the fast path: %+v", r)
-			}
-			snap.Runs = append(snap.Runs, r)
+	for _, fast := range []bool{false, true} {
+		r := collectPauseRun(w, false, fast, 20)
+		if r.Collections != 20 || r.PauseP50NS <= 0 || r.ResolveMeanNS <= 0 || r.RootsPerGC <= 0 {
+			t.Fatalf("degenerate pause run: %+v", r)
 		}
+		if fast && r.PlanHits == 0 {
+			t.Fatalf("fast run never hit the plan cache: %+v", r)
+		}
+		if !fast && (r.PlanHits != 0 || r.KernelWords != 0) {
+			t.Fatalf("oracle run used the fast path: %+v", r)
+		}
+		snap.Runs = append(snap.Runs, r)
 	}
 	lw, ok := workloads.ByName("listchurn")
 	if !ok {

@@ -39,7 +39,7 @@ func E13ScenarioMatrix() *Table {
 		ID:    "E13",
 		Title: "scenario matrix: all strategies × all disciplines over the declarative corpus",
 		Claim: "the comparative evaluation is data, not code: .tfs scenarios compile to the same configurations the hand-coded harnesses build, and the resulting matrix covers every strategy × discipline × scenario cell",
-		Header: []string{"scenario", "workload", "strategy", "discipline", "par",
+		Header: []string{"scenario", "workload", "strategy", "discipline",
 			"ok", "gcs", "gc pause", "alloc words", "note"},
 	}
 	for _, r := range snap.Runs {
@@ -60,7 +60,7 @@ func E13ScenarioMatrix() *Table {
 			alloc = fmt.Sprint(r.AllocWords)
 		}
 		t.Rows = append(t.Rows, []string{r.Scenario, r.Workload, r.Strategy, r.Discipline,
-			fmt.Sprint(r.Parallelism), ok, gcs, pause, alloc, note})
+			ok, gcs, pause, alloc, note})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("corpus: %s — %d scenarios compiled to %d cells (%d run)", dir, len(scs), len(cells), len(cells)-countSkips(cells)),

@@ -107,20 +107,15 @@ type Collector struct {
 	Strat Strategy
 	Stats Stats
 
-	// Parallelism is the number of workers scanning task stacks during a
-	// collection. 0 or 1 selects the sequential path, which remains the
-	// oracle: the parallel path is required (and tested) to produce a
-	// bit-identical heap. Tagged mode ignores it — with no compiler
-	// metadata there is no per-frame resolution phase to parallelize, and
-	// the Cheney scan is inherently serial.
+	// Parallelism accepts only 0 or 1: one collector traces every task
+	// stack, and the field is read by nothing. It remains for callers that
+	// pin the sequential collector explicitly; pipeline.Options rejects
+	// larger values before they reach a collector.
 	Parallelism int
-	// ScanSeed, when nonzero, shuffles the order in which parallel workers
-	// claim task stacks (tests use it to prove scan-order independence).
-	ScanSeed int64
 	// Telem accumulates per-collection telemetry (see telemetry.go).
 	Telem Telemetry
-	// Faults, when non-nil, injects allocation failures, forced
-	// collections, worker stalls and watchdog aborts (see faultinject.go).
+	// Faults, when non-nil, injects allocation failures and forced
+	// collections (see faultinject.go).
 	Faults *FaultPlan
 	// PreCollect, when non-nil, runs at the top of every collection before
 	// the heap snapshot and BeginGC. The tasking runtime uses it to retire
@@ -148,8 +143,8 @@ type Collector struct {
 	// metadata carries a spine-only verdict are traced by pruning kernels
 	// that sentinel-overwrite provably dead element fields (liveness.go).
 	// Pruning engages per collection only inside its degrade envelope —
-	// compiled strategy, fast path on, serial trace, no shard overlap, no
-	// concurrent cycle — and Liveness counts both engagements and every
+	// compiled strategy, fast path on, no shard overlap, no concurrent
+	// cycle — and Liveness counts both engagements and every
 	// degrade reason.
 	HeapLiveness bool
 	// Liveness counts liveness-guided pruning activity (see liveness.go);
@@ -171,14 +166,14 @@ type Collector struct {
 	genForceMajor bool
 	genTracking   bool
 	lastMinor     bool
-	// scratches holds one per-worker scratch arena (worker 0 doubles as the
-	// serial path's); reset at the top of every collection.
-	scratches []*scratch
+	// sc is the per-collection scratch arena, reset at the top of every
+	// collection.
+	sc scratch
 	// siteCache is the pc→site lookup cache: siteIdx+1 per code index,
 	// zero = unfilled (see siteAtFast).
 	siteCache []int32
 	// plans is the frame-plan cache (compiled strategy fast path).
-	plans planCache
+	plans map[planKey]*framePlan
 	// conc is the in-flight concurrent mark cycle, nil when none is
 	// active (concurrent.go).
 	conc *concCycle
@@ -262,7 +257,7 @@ func isGround(d *code.TypeDesc) bool {
 	return true
 }
 
-// scratch is one worker's per-collection arena. Type-argument windows and
+// scratch is the collector's per-collection arena. Type-argument windows and
 // root-job lists used to be allocated per frame and per stack walk — on a
 // deep polymorphic tower that is thousands of short-lived slices per
 // collection; now both bump-allocate here and the whole arena resets at the
@@ -311,30 +306,6 @@ func (s *scratch) commitJobs(jobs []rootJob) {
 	if cap(jobs) > 0 {
 		s.jobs = jobs
 	}
-}
-
-// resetScratches sizes one arena per worker (worker 0 doubles as the serial
-// path's) and resets them for this collection.
-func (c *Collector) resetScratches() {
-	n := c.Parallelism
-	if n < 1 {
-		n = 1
-	}
-	for len(c.scratches) < n {
-		c.scratches = append(c.scratches, &scratch{})
-	}
-	for _, s := range c.scratches {
-		s.reset()
-	}
-}
-
-// scratch0 returns the serial path's arena (allocating it on first use, for
-// callers that run outside a collection, like ResolveRoots).
-func (c *Collector) scratch0() *scratch {
-	if len(c.scratches) == 0 {
-		c.scratches = append(c.scratches, &scratch{})
-	}
-	return c.scratches[0]
 }
 
 // pkg is the type information a frame's gc routine hands to its callee's:
@@ -395,30 +366,14 @@ func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 	statsBefore := c.Stats
 	heapBefore := c.Heap.Stats
 	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
+	c.sc.reset()
 	c.Heap.BeginGC()
 	c.genTracking = nursery
 
-	markedAtStart := c.Heap.Stats.WordsCopied
 	c.traceGlobals(globals)
-
 	scans := make([]TaskScan, len(tasks))
-	// Parallel marking cannot run over a nursery: young objects move during
-	// evacuation and VisitShared refuses them. Copying's parallel phase only
-	// resolves roots — the trace that moves objects is the ordered serial
-	// phase 2 — so it stays parallel with a nursery.
-	parallel := c.Parallelism > 1 && c.Strat != StratTagged &&
-		!(nursery && c.Heap.Kind() == heap.MarkSweep)
-	c.beginPrune(parallel, false)
-	fallback := false
-	if parallel {
-		// Republish the memo-table and plan-cache snapshots so workers
-		// resolve descriptors lock-free (fastpath.go).
-		c.prepareFastPath()
-		fallback = !c.collectParallel(tasks, scans, globals, markedAtStart)
-	} else {
-		c.collectSerial(tasks, scans)
-	}
+	c.beginPrune(false)
+	c.collectStacks(tasks, scans)
 	c.endPrune()
 
 	if c.Strat == StratTagged {
@@ -430,7 +385,7 @@ func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 	c.Heap.EndGC()
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	c.Telem.record(c, kind, 0, pause, parallel, fallback, scans, usedBefore, statsBefore, heapBefore)
+	c.Telem.record(c, kind, 0, pause, scans, usedBefore, statsBefore, heapBefore)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
@@ -440,9 +395,7 @@ func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 // re-traced exactly as in a full collection (the paper's frame routines
 // make that re-trace cheap, and VisitObject stops the walk at the young/old
 // boundary by returning old objects untouched), then the remembered set
-// supplies the interior old→young edges. Minors are always serial: the
-// pause is bounded by the nursery size, so there is nothing worth fanning
-// workers out over.
+// supplies the interior old→young edges.
 func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 	if c.PreCollect != nil {
 		c.PreCollect()
@@ -454,14 +407,14 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 	statsBefore := c.Stats
 	heapBefore := c.Heap.Stats
 	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
+	c.sc.reset()
 	c.Heap.BeginMinorGC()
 	c.genTracking = true
 
-	c.beginPrune(false, false)
+	c.beginPrune(false)
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
+	c.collectStacks(tasks, scans)
 	c.traceRemembered()
 	c.endPrune()
 
@@ -471,7 +424,7 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 	c.refilterRemembered()
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	c.Telem.record(c, "minor", 0, pause, false, false, scans, usedBefore, statsBefore, heapBefore)
+	c.Telem.record(c, "minor", 0, pause, scans, usedBefore, statsBefore, heapBefore)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
@@ -499,17 +452,17 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	statsBefore := c.Stats
 	heapBefore := c.Heap.Stats
 	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
+	c.sc.reset()
 	c.Heap.BeginMinorGCShard(shard)
 	c.genTracking = true
 
 	// Never prune during a shard minor: other shards' mutators keep
 	// running and may hold live paths into structures this shard's roots
 	// only reach spine-only — beginPrune refuses and counts the reason.
-	c.beginPrune(false, true)
+	c.beginPrune(true)
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
+	c.collectStacks(tasks, scans)
 	c.traceRememberedShard(shard)
 	c.endPrune()
 
@@ -519,13 +472,13 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	c.refilterRemembered()
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	c.Telem.record(c, "minor", shard+1, pause, false, false, scans, usedBefore, statsBefore, heapBefore)
+	c.Telem.record(c, "minor", shard+1, pause, scans, usedBefore, statsBefore, heapBefore)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
 }
 
-// traceGlobals forwards/marks the global slots (always serial).
+// traceGlobals forwards/marks the global slots.
 func (c *Collector) traceGlobals(globals []code.Word) {
 	for i, g := range c.Prog.Globals {
 		if c.Strat == StratTagged {
@@ -537,17 +490,16 @@ func (c *Collector) traceGlobals(globals []code.Word) {
 	}
 }
 
-// collectSerial is the sequential oracle: task stacks scanned one at a
-// time, in task order. The parallel path re-runs it after a watchdog abort.
-func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
-	sc := c.scratch0()
+// collectStacks scans the task stacks one at a time, in task order,
+// recording each task's share of the work in scans.
+func (c *Collector) collectStacks(tasks []TaskRoots, scans []TaskScan) {
 	for i := range tasks {
 		wordsBefore := c.Heap.Stats.WordsCopied
 		snap := c.Stats
 		if c.Strat == StratTagged {
 			c.collectTaggedTask(tasks[i])
 		} else {
-			c.collectTask(tasks[i], sc)
+			c.collectTask(tasks[i])
 		}
 		scans[i] = TaskScan{
 			Task:    i,
@@ -562,7 +514,7 @@ func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
 // collectTask walks one task's stack oldest→newest, passing type packages
 // frame to frame (§3: "the stack is traversed at most twice" — one pass to
 // gather frame pointers, one to trace).
-func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
+func (c *Collector) collectTask(t TaskRoots) {
 	fps, pcs := frameChain(t)
 	fast := c.Strat == StratCompiled && !c.DisableFastPath
 	var incoming pkg
@@ -576,16 +528,16 @@ func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
 			// caller plan's edge cache when possible, otherwise by type
 			// arguments — then run it: slot routines, kernels, dedupe and
 			// outgoing package all precomputed per (site, instantiation).
-			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, sc, &c.Stats)
+			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, &c.Stats)
 			c.tracePlan(plan, t.Stack, fp+2, t.AtCall && i == len(fps)-1)
 			incoming, prev = plan.out, plan
 			continue
 		}
 		var targs []TypeGC
 		if c.Strat == StratAppel {
-			targs = c.appelTypeArgs(t, fps, pcs, i, &c.Stats, sc)
+			targs = c.appelTypeArgs(t, fps, pcs, i, &c.Stats)
 		} else {
-			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
+			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp)
 		}
 		c.traceFrame(siteIdx, site, fi, t.Stack, fp, targs, t.AtCall && i == len(fps)-1)
 		if i < len(fps)-1 && c.Strat != StratAppel {
@@ -634,8 +586,8 @@ func (c *Collector) siteAt(pc int) (int, *code.SiteInfo) {
 }
 
 // frameTypeArgs resolves a frame's type environment. Windows come from the
-// caller's scratch arena, valid until the next collection begins.
-func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch) []TypeGC {
+// collector's scratch arena, valid until the next collection begins.
+func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int) []TypeGC {
 	switch fi.TypeSource {
 	case code.TypeSourceNone:
 		return nil
@@ -643,15 +595,15 @@ func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.
 		return incoming.direct
 	case code.TypeSourceEnv:
 		env := stack[fp+2] // slot 0: the closure being executed
-		return c.envTypeArgs(fi, env, incoming.arrow, sc)
+		return c.envTypeArgs(fi, env, incoming.arrow)
 	}
 	return nil
 }
 
 // envTypeArgs derives a closure-called frame's type arguments from the
 // call-site package (derivable entries) and the closure's rep words.
-func (c *Collector) envTypeArgs(fi *code.FuncInfo, clos code.Word, ref TypeGC, sc *scratch) []TypeGC {
-	targs := sc.typeArgs(fi.TypeEnvLen)
+func (c *Collector) envTypeArgs(fi *code.FuncInfo, clos code.Word, ref TypeGC) []TypeGC {
+	targs := c.sc.typeArgs(fi.TypeEnvLen)
 	for i := 0; i < fi.TypeEnvLen; i++ {
 		switch {
 		case fi.RepWord != nil && fi.RepWord[i] >= 0 && code.IsBoxedValue(c.Heap.Repr, clos):
@@ -747,13 +699,13 @@ func (c *Collector) traceFrame(siteIdx int, site *code.SiteInfo, fi *code.FuncIn
 // chain from the bottom every time — "the tracing of each polymorphic
 // function's activation record may involve traversing a fair amount of the
 // stack" (§1.1.1/§3). The work is O(i) per frame, O(n²) per collection.
-// Chain steps land in st so parallel workers can count into local stats.
-func (c *Collector) appelTypeArgs(t TaskRoots, fps, pcs []int, target int, st *Stats, sc *scratch) []TypeGC {
+// Chain steps land in st, so root resolution can count into discarded stats.
+func (c *Collector) appelTypeArgs(t TaskRoots, fps, pcs []int, target int, st *Stats) []TypeGC {
 	var incoming pkg
 	for j := 0; j <= target; j++ {
 		_, site := c.siteAtFast(pcs[j], st)
 		fi := c.Prog.Funcs[site.Func]
-		targs := c.frameTypeArgs(fi, incoming, t.Stack, fps[j], sc)
+		targs := c.frameTypeArgs(fi, incoming, t.Stack, fps[j])
 		st.ChainSteps++
 		if j == target {
 			return targs

@@ -18,11 +18,11 @@ import (
 //     seed an explicit gray stack.
 //  2. Incremental mark (ConcSlice): the scheduler runs bounded marking
 //     increments at its existing suspension/safe points, interleaved with
-//     task quanta. Each slice pops gray entries, claims objects through the
-//     same VisitShared CAS the parallel marker uses, and pushes their
-//     children back gray. While the cycle is active the OpStFld typed write
-//     barrier grays every re-pointed target (ConcBarrier): the incremental-
-//     update discipline. New objects are born white; a mark slice never
+//     task quanta. Each slice pops gray entries, marks objects through the
+//     heap's ordinary VisitObject, and pushes their children back gray.
+//     While the cycle is active the OpStFld typed write barrier grays
+//     every re-pointed target (ConcBarrier): the incremental-update
+//     discipline. New objects are born white; a mark slice never
 //     runs between an allocation and its initializing stores (slices only
 //     run at safe points), so a new object is reachable either through a
 //     barriered store into a black object or through a root the final
@@ -133,10 +133,9 @@ func (c *Collector) ConcStart(tasks []TaskRoots, globals []code.Word) {
 	for i, g := range c.Prog.Globals {
 		cy.gray = append(cy.gray, grayEntry{w: globals[i], g: c.FromDesc(g.Desc, nil)})
 	}
-	sc := c.scratch0()
-	sc.reset()
+	c.sc.reset()
 	for i := range tasks {
-		jobs := c.taskJobs(tasks[i], &c.Stats, sc)
+		jobs := c.taskJobs(tasks[i], &c.Stats)
 		for j := range jobs {
 			cy.gray = append(cy.gray, grayEntry{w: tasks[i].Stack[jobs[j].idx], g: jobs[j].g})
 			c.Stats.SlotsTraced++
@@ -221,7 +220,7 @@ func (c *Collector) ConcFinish(tasks []TaskRoots, globals []code.Word) {
 	start := time.Now()
 	c.Stats.Collections++
 	c.lastMinor = false
-	c.resetScratches()
+	c.sc.reset()
 	c.Heap.BeginGC()
 	for len(cy.gray) > 0 {
 		e := cy.gray[len(cy.gray)-1]
@@ -230,13 +229,13 @@ func (c *Collector) ConcFinish(tasks []TaskRoots, globals []code.Word) {
 	}
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
+	c.collectStacks(tasks, scans)
 	c.Stats.TypeGCBuilt = c.b.Built
 	c.Heap.EndGC()
 	finalPause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += finalPause
 	c.conc = nil
-	c.Telem.record(c, "", 0, cy.initialPauseNS+finalPause, false, false, scans,
+	c.Telem.record(c, "", 0, cy.initialPauseNS+finalPause, scans,
 		cy.usedBefore, cy.statsBefore, cy.heapBefore)
 	c.Telem.Records[len(c.Telem.Records)-1].Conc = &ConcRecord{
 		InitialPauseNS: cy.initialPauseNS,
@@ -268,9 +267,9 @@ func (c *Collector) ConcAbort() {
 	c.conc = nil
 }
 
-// concMark traces one gray entry: claim the object through the VisitShared
-// CAS, account its words, push its children gray. The explicit stack
-// replaces markValue's recursion so a slice can stop between objects.
+// concMark traces one gray entry: mark the object, account its words, push
+// its children gray. The explicit gray stack replaces Trace's recursion so
+// a slice can stop between objects.
 // Field values are read at mark time: once the object is black, any later
 // re-pointing goes through ConcBarrier.
 func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
@@ -282,7 +281,7 @@ func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
 		if !code.IsBoxedValue(repr, w) {
 			return 0
 		}
-		if _, fresh := c.Heap.VisitShared(w, 1); !fresh {
+		if _, fresh := c.Heap.VisitObject(w, 1); !fresh {
 			return 0
 		}
 		c.Stats.ObjectsCopied++
@@ -292,7 +291,7 @@ func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
 		if !code.IsBoxedValue(repr, w) {
 			return 0
 		}
-		if _, fresh := c.Heap.VisitShared(w, len(g.fields)); !fresh {
+		if _, fresh := c.Heap.VisitObject(w, len(g.fields)); !fresh {
 			return 0
 		}
 		c.Stats.ObjectsCopied++
@@ -310,7 +309,7 @@ func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
 			off = 1
 		}
 		fields := g.layout.Boxed[tag].Fields
-		if _, fresh := c.Heap.VisitShared(w, off+len(fields)); !fresh {
+		if _, fresh := c.Heap.VisitObject(w, off+len(fields)); !fresh {
 			return 0
 		}
 		c.Stats.ObjectsCopied++
@@ -325,7 +324,7 @@ func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
 		fidx := int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
 		fi := c.Prog.Funcs[fidx]
 		size := 1 + fi.NumRepWords + len(fi.Captures)
-		if _, fresh := c.Heap.VisitShared(w, size); !fresh {
+		if _, fresh := c.Heap.VisitObject(w, size); !fresh {
 			return 0
 		}
 		c.Stats.ObjectsCopied++

@@ -5,7 +5,7 @@ package gc
 // presentation, still re-derived everything per frame per collection:
 // the gc_word was decoded from the instruction stream for every frame, a
 // polymorphic frame's []TypeGC and outgoing package were rebuilt through
-// the hash-consing builder (string keys under a mutex) for every frame of
+// the hash-consing builder (string-keyed lookups) for every frame of
 // every collection, and every traced word paid a Trace interface call.
 // For the dominant workload shape — deep recursive stacks of one function
 // at one instantiation over list/tree structure — all of that work is
@@ -15,8 +15,8 @@ package gc
 //
 //   - A pc→site lookup cache (Collector.siteCache): the resolved site
 //     index for each return address, filled on first decode and then a
-//     single atomic load. Workers share it lock-free.
-//   - A frame-plan cache (planCache): keyed by (site, identity of the
+//     single slice load.
+//   - A frame-plan cache (Collector.plans): keyed by (site, identity of the
 //     incoming type instantiation), memoizing the fully resolved frame
 //     routine — per-slot TypeGC, the specialized kernel chosen for each
 //     slot, the call-argument map minus slots the frame walk already
@@ -27,19 +27,11 @@ package gc
 //     const-payload data spines such as int lists) selected at plan-build
 //     time, replacing recursive Trace interface dispatch per word.
 //
-// All three are read lock-free during parallel collection: the plan cache
-// and the TypeGC builder keep an immutable snapshot map (promoted before
-// each parallel phase) consulted without locking, with a mutex-guarded
-// dirty map behind it for misses. Collector.DisableFastPath restores the
-// uncached per-frame resolution — the differential suite's oracle — and
-// the fast path is required (and tested) to produce bit-identical heaps.
+// Collector.DisableFastPath restores the uncached per-frame resolution —
+// the differential suite's oracle — and the fast path is required (and
+// tested) to produce bit-identical heaps.
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"tagfree/internal/code"
-)
+import "tagfree/internal/code"
 
 // ---------------------------------------------------------------------------
 // slotSet: per-frame slot membership without the O(slots²) linear scan.
@@ -307,10 +299,8 @@ func (c *Collector) classifyPrune(g TypeGC) *spineKernel {
 // traceKernel traces one root through its specialized loop (or the generic
 // Trace for kGeneric). It mutates the heap exactly as Trace would — same
 // visit order, same copies — so fast-path heaps stay bit-identical to the
-// oracle's. st receives the object/word counters (c.Stats on the serial
-// and ordered-trace paths; a worker-local block during parallel marking
-// never reaches here — see markKernel).
-func (c *Collector) traceKernel(ps *planSlot, w code.Word, st *Stats) code.Word {
+// oracle's.
+func (c *Collector) traceKernel(ps *planSlot, w code.Word) code.Word {
 	switch ps.k {
 	case kConst:
 		return w
@@ -320,8 +310,8 @@ func (c *Collector) traceKernel(ps *planSlot, w code.Word, st *Stats) code.Word 
 		}
 		nw, fresh := c.Heap.VisitObject(w, 1)
 		if fresh {
-			st.ObjectsCopied++
-			st.KernelWords++
+			c.Stats.ObjectsCopied++
+			c.Stats.KernelWords++
 		}
 		return nw
 	case kTupleFlat:
@@ -331,14 +321,14 @@ func (c *Collector) traceKernel(ps *planSlot, w code.Word, st *Stats) code.Word 
 		n := len(ps.g.(*tupleG).fields)
 		nw, fresh := c.Heap.VisitObject(w, n)
 		if fresh {
-			st.ObjectsCopied++
-			st.KernelWords += int64(n)
+			c.Stats.ObjectsCopied++
+			c.Stats.KernelWords += int64(n)
 		}
 		return nw
 	case kBoxFlat:
-		return c.traceBox(ps.box, w, st)
+		return c.traceBox(ps.box, w)
 	case kSpineFlat:
-		return c.traceSpine(ps.spine, ps.g, w, st)
+		return c.traceSpine(ps.spine, ps.g, w)
 	}
 	return ps.g.Trace(c, w)
 }
@@ -346,7 +336,7 @@ func (c *Collector) traceKernel(ps *planSlot, w code.Word, st *Stats) code.Word 
 // traceBox copies one flat box and its sub-boxes — tupleG/refG.Trace minus
 // the per-field dispatch. Sub-boxes are visited in field order, exactly
 // where Trace would dispatch on them, so heaps stay bit-identical.
-func (c *Collector) traceBox(bk *boxKernel, w code.Word, st *Stats) code.Word {
+func (c *Collector) traceBox(bk *boxKernel, w code.Word) code.Word {
 	if !code.IsBoxedValue(c.Heap.Repr, w) {
 		return w
 	}
@@ -354,31 +344,13 @@ func (c *Collector) traceBox(bk *boxKernel, w code.Word, st *Stats) code.Word {
 	if !fresh {
 		return nw
 	}
-	st.ObjectsCopied++
-	st.KernelWords += int64(bk.size)
+	c.Stats.ObjectsCopied++
+	c.Stats.KernelWords += int64(bk.size)
 	for i := range bk.subs {
 		s := &bk.subs[i]
-		c.setField(nw, s.off, c.traceBox(s.box, c.Heap.Field(nw, s.off), st), s.g)
+		c.setField(nw, s.off, c.traceBox(s.box, c.Heap.Field(nw, s.off)), s.g)
 	}
 	return nw
-}
-
-// markBox is traceBox's read-only twin for parallel mark/sweep marking.
-// Returns the words newly marked.
-func (c *Collector) markBox(bk *boxKernel, w code.Word, st *Stats) int64 {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
-		return 0
-	}
-	if _, fresh := c.Heap.VisitShared(w, bk.size); !fresh {
-		return 0
-	}
-	st.ObjectsCopied++
-	st.KernelWords += int64(bk.size)
-	words := int64(bk.size)
-	for i := range bk.subs {
-		words += c.markBox(bk.subs[i].box, c.Heap.Field(w, bk.subs[i].off), st)
-	}
-	return words
 }
 
 // traceSpine is the flattened loop for const-payload data spines: visit,
@@ -386,7 +358,7 @@ func (c *Collector) markBox(bk *boxKernel, w code.Word, st *Stats) int64 {
 // per-field FromDesc and Trace dispatch (payload words are correct
 // verbatim after the copy). g is the spine's own routine, threaded through
 // for the generational tail-link barrier (setField).
-func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats) code.Word {
+func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 	head := code.Word(0)
 	haveHead := false
 	var prevPtr code.Word // last copied object; its tail field awaits a link
@@ -413,8 +385,8 @@ func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(sk.size[tag])
+		c.Stats.ObjectsCopied++
+		c.Stats.KernelWords += int64(sk.size[tag])
 		// Non-tail, non-const fields run in field order, exactly where
 		// dataG.Trace would dispatch on them: tree children recurse the
 		// spine, flat-box payloads copy through their boxKernel, and a
@@ -426,12 +398,12 @@ func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats
 			f := &sk.steps[tag][i]
 			switch f.kind {
 			case sfSelf:
-				c.setField(nw, f.off, c.traceSpine(sk, g, c.Heap.Field(nw, f.off), st), g)
+				c.setField(nw, f.off, c.traceSpine(sk, g, c.Heap.Field(nw, f.off)), g)
 			case sfBox:
-				c.setField(nw, f.off, c.traceBox(f.box, c.Heap.Field(nw, f.off), st), f.g)
+				c.setField(nw, f.off, c.traceBox(f.box, c.Heap.Field(nw, f.off)), f.g)
 			case sfPrune:
 				c.setField(nw, f.off, code.PrunedWord, f.g)
-				st.PrunedWords++
+				c.Stats.PrunedWords++
 			}
 		}
 		t := sk.tail[tag]
@@ -441,82 +413,6 @@ func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats
 		prevPtr, prevField = nw, t
 		w = c.Heap.Field(nw, t)
 	}
-}
-
-// markKernel is traceKernel's read-only twin for parallel mark/sweep
-// collection: objects are claimed through VisitShared's compare-and-swap
-// and no heap or stack word is written. It returns the words newly marked.
-func (c *Collector) markKernel(ps *planSlot, w code.Word, st *Stats) int64 {
-	repr := c.Heap.Repr
-	switch ps.k {
-	case kConst:
-		return 0
-	case kRefConst:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		if _, fresh := c.Heap.VisitShared(w, 1); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		st.KernelWords++
-		return 1
-	case kTupleFlat:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		n := len(ps.g.(*tupleG).fields)
-		if _, fresh := c.Heap.VisitShared(w, n); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(n)
-		return int64(n)
-	case kBoxFlat:
-		return c.markBox(ps.box, w, st)
-	case kSpineFlat:
-		return c.markSpine(ps.spine, w, st)
-	}
-	return c.markValue(ps.g, w, st)
-}
-
-// markSpine is traceSpine's read-only twin: claim each spine object
-// through VisitShared, recurse into the non-tail self-recursive fields,
-// iterate the tail. Returns the words newly marked.
-func (c *Collector) markSpine(sk *spineKernel, w code.Word, st *Stats) int64 {
-	repr := c.Heap.Repr
-	var words int64
-	for code.IsBoxedValue(repr, w) {
-		tag := 0
-		if sk.hasTag {
-			tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		}
-		if _, fresh := c.Heap.VisitShared(w, sk.size[tag]); !fresh {
-			break
-		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(sk.size[tag])
-		words += int64(sk.size[tag])
-		for i := range sk.steps[tag] {
-			f := &sk.steps[tag][i]
-			switch f.kind {
-			case sfSelf:
-				words += c.markSpine(sk, c.Heap.Field(w, f.off), st)
-			case sfBox:
-				words += c.markBox(f.box, c.Heap.Field(w, f.off), st)
-			default:
-				// Pruning kernels never reach the read-only mark path
-				// (pruning is serial-only); mark conservatively if one does.
-				words += c.markValue(f.g, c.Heap.Field(w, f.off), st)
-			}
-		}
-		t := sk.tail[tag]
-		if t < 0 {
-			break
-		}
-		w = c.Heap.Field(w, t)
-	}
-	return words
 }
 
 // ---------------------------------------------------------------------------
@@ -531,8 +427,8 @@ type planSlot struct {
 	spine *spineKernel
 	box   *boxKernel
 	// prune, when non-nil, is the spine-only pruning kernel for a slot
-	// whose heap-liveness verdict at this site is spine-only; the serial
-	// trace defers such slots and drains them after every full root
+	// whose heap-liveness verdict at this site is spine-only; the trace
+	// defers such slots and drains them after every full root
 	// (drainPrune). pruneAtCall is the variant for a frame suspended
 	// *before* its call: an argument slot's full Args verdict overrides
 	// the after-call Live verdict there, because the call re-executes on
@@ -546,8 +442,8 @@ type planSlot struct {
 // suspended-call argument map minus slots the frame walk already covers
 // (the per-frame dedupe, computed once), and the outgoing package. The
 // trace fields are immutable after construction and shared freely across
-// frames, collections and workers; edges is the one mutable member, a
-// copy-on-write map filled as towers are walked (see planForEdge).
+// frames and collections; edges is the one mutable member, filled as
+// towers are walked (see planForEdge).
 type framePlan struct {
 	slots []planSlot
 	args  []planSlot
@@ -561,40 +457,7 @@ type framePlan struct {
 	// plan, and a warmed tower of mixed frames (mutual recursion, a call
 	// chain the one-entry inline cache thrashes on) resolves in O(1) per
 	// frame: no type-argument resolution, no plan-key hashing.
-	edges atomic.Pointer[map[int]*framePlan]
-}
-
-// edge returns the cached callee plan for a callee site, or nil.
-func (p *framePlan) edge(site int) *framePlan {
-	if m := p.edges.Load(); m != nil {
-		return (*m)[site]
-	}
-	return nil
-}
-
-// addEdge publishes a callee edge copy-on-write. Racing workers may build
-// the map twice; plans for one key are interchangeable, so whichever swap
-// wins is correct, and the loser retries against the winner's map.
-func (p *framePlan) addEdge(site int, callee *framePlan) {
-	for {
-		old := p.edges.Load()
-		if old != nil {
-			if _, ok := (*old)[site]; ok {
-				return
-			}
-		}
-		m := make(map[int]*framePlan, 1)
-		if old != nil {
-			m = make(map[int]*framePlan, len(*old)+1)
-			for k, v := range *old {
-				m[k] = v
-			}
-		}
-		m[site] = callee
-		if p.edges.CompareAndSwap(old, &m) {
-			return
-		}
-	}
+	edges map[int]*framePlan
 }
 
 // maxPlanTypeArgs bounds the inline plan key. Frames instantiated with
@@ -611,36 +474,10 @@ type planKey struct {
 	ids  [maxPlanTypeArgs]int32
 }
 
-// planCache memoizes frame plans with lock-free reads: an immutable
-// snapshot map consulted without locking, and a mutex-guarded dirty map
-// holding everything ever built. promote republishes the snapshot; the
-// collector promotes before each parallel phase so workers resolving deep
-// stacks never serialize on the mutex.
-type planCache struct {
-	snap     atomic.Pointer[map[planKey]*framePlan]
-	mu       sync.Mutex
-	dirty    map[planKey]*framePlan
-	promoted int
-}
-
-func (pc *planCache) promote() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if len(pc.dirty) == pc.promoted {
-		return
-	}
-	m := make(map[planKey]*framePlan, len(pc.dirty))
-	for k, v := range pc.dirty {
-		m[k] = v
-	}
-	pc.snap.Store(&m)
-	pc.promoted = len(m)
-}
-
 // planIC is a one-entry inline cache in front of planFor, local to one
 // task's stack walk: a tower of N equal frames — deep recursion over one
 // instantiation, the dominant deep-stack shape — hits it N-1 times,
-// skipping even the snapshot map's hash per frame. Type-argument equality
+// skipping even the plan cache's hash per frame. Type-argument equality
 // is interface identity (hash-consing makes node identity instantiation
 // identity).
 type planIC struct {
@@ -679,25 +516,27 @@ func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targ
 // (TypeSourceEnv) read their instantiation out of the closure's rep words
 // on the heap, so their plans can differ per frame at one site and are
 // never edge-cached.
-func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch, st *Stats) *framePlan {
+func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, st *Stats) *framePlan {
 	cacheable := prev != nil && fi.TypeSource != code.TypeSourceEnv
 	if cacheable {
-		if p := prev.edge(siteIdx); p != nil {
+		if p := prev.edges[siteIdx]; p != nil {
 			st.PlanHits++
 			return p
 		}
 	}
-	targs := c.frameTypeArgs(fi, incoming, stack, fp, sc)
+	targs := c.frameTypeArgs(fi, incoming, stack, fp)
 	p := c.planForIC(ic, siteIdx, site, targs, st)
 	if cacheable {
-		prev.addEdge(siteIdx, p)
+		if prev.edges == nil {
+			prev.edges = make(map[int]*framePlan, 1)
+		}
+		prev.edges[siteIdx] = p
 	}
 	return p
 }
 
 // planFor returns the memoized frame plan for (site, targs), building and
-// publishing it on first use. st takes the hit/miss counters (worker-local
-// during parallel resolution).
+// caching it on first use. st takes the hit/miss counters.
 func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st *Stats) *framePlan {
 	if len(targs) > maxPlanTypeArgs {
 		st.PlanMisses++
@@ -711,41 +550,22 @@ func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st
 			key.ids[i] = -1
 		}
 	}
-	if m := c.plans.snap.Load(); m != nil {
-		if p, ok := (*m)[key]; ok {
-			st.PlanHits++
-			return p
-		}
-	}
-	c.plans.mu.Lock()
-	if p, ok := c.plans.dirty[key]; ok {
-		c.plans.mu.Unlock()
+	if p, ok := c.plans[key]; ok {
 		st.PlanHits++
 		return p
 	}
-	c.plans.mu.Unlock()
-	// Build outside the lock: construction reaches into the TypeGC
-	// builder, and a slow build must not serialize unrelated lookups.
-	// A racing duplicate build is harmless — plans for one key are
-	// interchangeable — but only one wins publication.
 	st.PlanMisses++
 	p := c.buildPlan(siteIdx, site, targs)
-	c.plans.mu.Lock()
-	if prev, ok := c.plans.dirty[key]; ok {
-		p = prev
-	} else {
-		if c.plans.dirty == nil {
-			c.plans.dirty = make(map[planKey]*framePlan)
-		}
-		c.plans.dirty[key] = p
+	if c.plans == nil {
+		c.plans = make(map[planKey]*framePlan)
 	}
-	c.plans.mu.Unlock()
+	c.plans[key] = p
 	return p
 }
 
 // buildPlan resolves one frame routine completely: slot routines with
 // kernels, the deduplicated suspended-call argument map, and the outgoing
-// package (built eagerly so published plans are immutable).
+// package (built eagerly so cached plans are immutable).
 func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) *framePlan {
 	p := &framePlan{}
 	var seen slotSet
@@ -790,8 +610,8 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 	return p
 }
 
-// tracePlan runs one frame's plan over the stack (the serial collector's
-// compiled fast path). When liveness-guided pruning is armed for this
+// tracePlan runs one frame's plan over the stack (the collector's compiled
+// fast path). When liveness-guided pruning is armed for this
 // collection (pruneOn), slots with a spine-only verdict are deferred to
 // the prune queue instead of traced — every full root must run first so
 // the pruning walk stops at anything a live path reached (drainPrune).
@@ -809,7 +629,7 @@ func (c *Collector) tracePlan(p *framePlan, stack []code.Word, base int, atCall 
 				continue
 			}
 		}
-		stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot], &c.Stats)
+		stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot])
 		c.Stats.SlotsTraced++
 	}
 	if atCall {
@@ -820,7 +640,7 @@ func (c *Collector) tracePlan(p *framePlan, stack []code.Word, base int, atCall 
 				c.Stats.SlotsTraced++
 				continue
 			}
-			stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot], &c.Stats)
+			stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot])
 			c.Stats.SlotsTraced++
 		}
 	}
@@ -830,33 +650,19 @@ func (c *Collector) tracePlan(p *framePlan, stack []code.Word, base int, atCall 
 // pc→site lookup cache.
 // ---------------------------------------------------------------------------
 
-// siteAtFast resolves the site at pc through the lookup cache: one atomic
-// load on a hit, the instruction-stream decode (siteAt) on first touch.
-// Entries are siteIdx+1 so the zero value means unfilled; concurrent
-// workers may race to fill an entry with the same value, which the atomic
-// store keeps benign.
+// siteAtFast resolves the site at pc through the lookup cache: one load on
+// a hit, the instruction-stream decode (siteAt) on first touch. Entries
+// are siteIdx+1 so the zero value means unfilled.
 func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
 	if c.DisableFastPath || c.siteCache == nil {
 		return c.siteAt(pc)
 	}
-	if v := atomic.LoadInt32(&c.siteCache[pc]); v > 0 {
+	if v := c.siteCache[pc]; v > 0 {
 		st.SiteCacheHits++
 		return int(v - 1), c.Prog.Sites[v-1]
 	}
 	st.SiteCacheMisses++
 	idx, si := c.siteAt(pc)
-	atomic.StoreInt32(&c.siteCache[pc], int32(idx+1))
+	c.siteCache[pc] = int32(idx + 1)
 	return idx, si
-}
-
-// prepareFastPath promotes the memo-table and plan-cache snapshots so the
-// parallel phase's workers read both lock-free — the "pre-resolve before
-// the pause's parallel phase" step. Promotion is O(entries) and skipped
-// when nothing new was built since the last collection.
-func (c *Collector) prepareFastPath() {
-	if c.DisableFastPath {
-		return
-	}
-	c.b.promote()
-	c.plans.promote()
 }

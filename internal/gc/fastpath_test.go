@@ -5,9 +5,9 @@ package gc_test
 // internal/gc/fastpath.go) is a pure memoization and must be invisible to
 // everything but the clock. These tests pin the central claim: a
 // fast-path collection history leaves every single heap word equal to the
-// uncached oracle's (Collector.DisableFastPath), sequentially and with 4
-// workers, under both heap disciplines — and the caches actually engage
-// on the workloads that motivated them.
+// uncached oracle's (Collector.DisableFastPath) under both heap
+// disciplines — and the caches actually engage on the workloads that
+// motivated them.
 
 import (
 	"fmt"
@@ -21,9 +21,10 @@ import (
 	"tagfree/internal/workloads"
 )
 
-// runGroupFP is runGroup with the fast path switchable, also returning
-// the collector's counters for cache-engagement assertions.
-func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, par int, disableFast bool) ([]code.Word, []code.Word, gc.Stats) {
+// runGroupFP executes a task workload with the fast path switchable,
+// returning each task's raw result, the final heap image and the
+// collector's counters for cache-engagement assertions.
+func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, disableFast bool) ([]code.Word, []code.Word, gc.Stats) {
 	t.Helper()
 	prog, _, err := pipeline.Build(w.Source, pipeline.Options{
 		Strategy:             strat,
@@ -48,7 +49,6 @@ func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Col.Parallelism = par
 	g.Col.DisableFastPath = disableFast
 	g.Col.Verify = true
 	g.Heap.SetVerify(true)
@@ -69,35 +69,32 @@ func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bo
 }
 
 // TestFastPathBitIdenticalToOracle: for every task workload and heap
-// discipline, collections through the plan cache and kernels — serial and
-// 4-way parallel — leave the heap bit-identical to the uncached oracle.
+// discipline, collections through the plan cache and kernels leave the
+// heap bit-identical to the uncached oracle.
 func TestFastPathBitIdenticalToOracle(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ms=%v", w.Name, ms), func(t *testing.T) {
-				oracleRes, oracleMem, oracleStats := runGroupFP(t, w, gc.StratCompiled, ms, 1, true)
+				oracleRes, oracleMem, oracleStats := runGroupFP(t, w, gc.StratCompiled, ms, true)
 				if oracleStats.PlanHits != 0 || oracleStats.KernelWords != 0 || oracleStats.SiteCacheHits != 0 {
 					t.Fatalf("oracle used the fast path: %+v", oracleStats)
 				}
-				for _, par := range []int{1, 4} {
-					fastRes, fastMem, fastStats := runGroupFP(t, w, gc.StratCompiled, ms, par, false)
-					if !wordsEqual(oracleRes, fastRes) {
-						t.Fatalf("par=%d: results diverge: oracle %v fast %v", par, oracleRes, fastRes)
-					}
-					if !wordsEqual(oracleMem, fastMem) {
-						t.Fatalf("par=%d: heap images diverge (%d words)", par, len(oracleMem))
-					}
-					if fastStats.PlanHits == 0 {
-						t.Fatalf("par=%d: plan cache never hit: %+v", par, fastStats)
-					}
-					// The oracle and the fast path must agree on the logical
-					// trace work, not just the final heap.
-					if fastStats.FramesTraced != oracleStats.FramesTraced ||
-						fastStats.SlotsTraced != oracleStats.SlotsTraced ||
-						fastStats.ObjectsCopied != oracleStats.ObjectsCopied {
-						t.Fatalf("par=%d: work counters diverge:\n  oracle %+v\n  fast   %+v",
-							par, oracleStats, fastStats)
-					}
+				fastRes, fastMem, fastStats := runGroupFP(t, w, gc.StratCompiled, ms, false)
+				if !wordsEqual(oracleRes, fastRes) {
+					t.Fatalf("results diverge: oracle %v fast %v", oracleRes, fastRes)
+				}
+				if !wordsEqual(oracleMem, fastMem) {
+					t.Fatalf("heap images diverge (%d words)", len(oracleMem))
+				}
+				if fastStats.PlanHits == 0 {
+					t.Fatalf("plan cache never hit: %+v", fastStats)
+				}
+				// The oracle and the fast path must agree on the logical
+				// trace work, not just the final heap.
+				if fastStats.FramesTraced != oracleStats.FramesTraced ||
+					fastStats.SlotsTraced != oracleStats.SlotsTraced ||
+					fastStats.ObjectsCopied != oracleStats.ObjectsCopied {
+					t.Fatalf("work counters diverge:\n  oracle %+v\n  fast   %+v", oracleStats, fastStats)
 				}
 			})
 		}
@@ -114,7 +111,7 @@ func TestFastPathCachesEngage(t *testing.T) {
 	if !ok {
 		t.Fatal("taskpoly workload missing")
 	}
-	_, _, st := runGroupFP(t, w, gc.StratCompiled, false, 1, false)
+	_, _, st := runGroupFP(t, w, gc.StratCompiled, false, false)
 	if st.PlanMisses == 0 {
 		t.Fatalf("no plans were ever built: %+v", st)
 	}
@@ -140,7 +137,7 @@ func TestFastPathTreeKernel(t *testing.T) {
 		t.Fatal("tasktree workload missing")
 	}
 	for _, ms := range []bool{false, true} {
-		_, _, st := runGroupFP(t, w, gc.StratCompiled, ms, 1, false)
+		_, _, st := runGroupFP(t, w, gc.StratCompiled, ms, false)
 		if st.KernelWords == 0 {
 			t.Fatalf("ms=%v: tree spines never traced through a kernel: %+v", ms, st)
 		}
@@ -157,7 +154,7 @@ func TestFastPathOtherStrategiesUnaffected(t *testing.T) {
 		t.Fatal("taskchurn workload missing")
 	}
 	for _, strat := range []gc.Strategy{gc.StratInterp, gc.StratAppel} {
-		_, _, st := runGroupFP(t, w, strat, false, 1, false)
+		_, _, st := runGroupFP(t, w, strat, false, false)
 		if st.PlanHits != 0 || st.PlanMisses != 0 || st.KernelWords != 0 {
 			t.Fatalf("%v: plan cache or kernels engaged: %+v", strat, st)
 		}

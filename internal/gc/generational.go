@@ -167,9 +167,6 @@ func (c *Collector) remember(obj code.Word, field int32, g TypeGC, traced bool) 
 // old→young edge the write creates. Every interior pointer write the trace
 // performs goes through here (typegc.go, fastpath.go); g is the routine for
 // the written value, so the entry can re-trace the edge at the next minor.
-// All writing trace paths are serial (minors always; mark/sweep majors are
-// forced serial; copying majors write only in the ordered phase-2 trace),
-// so no locking is needed.
 func (c *Collector) setField(obj code.Word, i int, v code.Word, g TypeGC) {
 	c.Heap.SetField(obj, i, v)
 	if !c.genTracking {

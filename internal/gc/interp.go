@@ -77,8 +77,8 @@ func (c *Collector) interpTraceFrame(buf []byte, stack []code.Word, base int, ta
 }
 
 // interpFrameJobs decodes a site descriptor into root jobs without tracing
-// anything — the pure half of interpTraceFrame, used by the parallel
-// resolution phase (workers decode concurrently; tracing stays ordered).
+// anything — the pure half of interpTraceFrame, used by root resolution
+// (roots.go).
 func (c *Collector) interpFrameJobs(jobs []rootJob, buf []byte, base int, targs []TypeGC, st *Stats) []rootJob {
 	r := &descReader{buf: buf}
 	n := r.uvarint()

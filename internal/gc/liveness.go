@@ -41,7 +41,6 @@ import "tagfree/internal/code"
 //
 //   - compiled strategy with the fast path on (the verdicts live in frame
 //     plans; interp/appel/tagged have none),
-//   - serial trace (parallel workers interleave phase 1 and phase 2),
 //   - no shard overlap (other shards' mutators hold unscanned live paths),
 //   - no concurrent mark cycle (snapshot roots predate the verdicts).
 //
@@ -60,7 +59,6 @@ type LivenessStats struct {
 	// checked in the order listed.
 	DegradedStrategy   int64 `json:"degraded_strategy,omitempty"`   // not the compiled strategy
 	DegradedFastPath   int64 `json:"degraded_fastpath,omitempty"`   // DisableFastPath set
-	DegradedParallel   int64 `json:"degraded_parallel,omitempty"`   // parallel trace phase
 	DegradedShard      int64 `json:"degraded_shard,omitempty"`      // single-shard minor with mutators running
 	DegradedConcurrent int64 `json:"degraded_concurrent,omitempty"` // concurrent mark cycle (counted at ConcStart)
 }
@@ -75,9 +73,8 @@ type pruneItem struct {
 }
 
 // beginPrune decides whether this collection may prune, counting the
-// degrade reason when it may not. Callers pass the trace shape: parallel
-// for a multi-worker trace phase, shard for a single-shard minor.
-func (c *Collector) beginPrune(parallel, shard bool) {
+// degrade reason when it may not. shard marks a single-shard minor.
+func (c *Collector) beginPrune(shard bool) {
 	c.pruneOn = false
 	if !c.HeapLiveness {
 		return
@@ -87,8 +84,6 @@ func (c *Collector) beginPrune(parallel, shard bool) {
 		c.Liveness.DegradedStrategy++
 	case c.DisableFastPath:
 		c.Liveness.DegradedFastPath++
-	case parallel:
-		c.Liveness.DegradedParallel++
 	case shard:
 		c.Liveness.DegradedShard++
 	default:
@@ -107,7 +102,7 @@ func (c *Collector) endPrune() {
 	}
 	for i := range c.pruneQ {
 		it := &c.pruneQ[i]
-		it.stack[it.idx] = c.traceSpine(it.sk, it.g, it.stack[it.idx], &c.Stats)
+		it.stack[it.idx] = c.traceSpine(it.sk, it.g, it.stack[it.idx])
 		c.Liveness.SpineRoots++
 	}
 	c.pruneQ = c.pruneQ[:0]

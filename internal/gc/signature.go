@@ -55,10 +55,9 @@ func (c *Collector) RootSignature(tasks []TaskRoots, globals []code.Word) []code
 		s.walk(c.FromDesc(g.Desc, nil), globals[i])
 	}
 	var st Stats // resolution stats of the signature walk are discarded
-	sc := c.scratch0()
-	sc.reset() // any prior collection's windows are dead by now
+	c.sc.reset() // any prior collection's windows are dead by now
 	for i := range tasks {
-		for _, j := range c.taskJobs(tasks[i], &st, sc) {
+		for _, j := range c.taskJobs(tasks[i], &st) {
 			s.walk(j.g, tasks[i].Stack[j.idx])
 		}
 	}

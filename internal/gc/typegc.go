@@ -24,8 +24,6 @@ package gc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tagfree/internal/code"
 	"tagfree/internal/heap"
@@ -43,26 +41,10 @@ type TypeGC interface {
 }
 
 // builder hash-conses TypeGC nodes, mirroring the paper's observation that
-// type_gc_routine closures for equal types are shared (Figure 3). The
-// mutex makes memoization safe for the parallel collection path, where
-// several workers resolve descriptors concurrently; the set of nodes ever
-// built is determined by the program alone, so Built stays deterministic
-// even though construction order is not.
-//
-// Reads are lock-free in the steady state: an immutable snapshot map is
-// consulted first without locking, and the mutex guards only misses. The
-// collector republishes the snapshot before each parallel phase
-// (prepareFastPath), so once the program's descriptor set has been seen,
-// workers never serialize on the mutex — the PR-1 profile showed -par 4
-// collections spending most of their resolution time queued here.
+// type_gc_routine closures for equal types are shared (Figure 3).
 type builder struct {
-	snap   atomic.Pointer[map[string]TypeGC]
-	mu     sync.Mutex
 	nextID int
 	cache  map[string]TypeGC
-	// promoted is the cache size at the last snapshot, so promote can
-	// skip republication when nothing new was built.
-	promoted int
 	// Built counts constructor calls that created a new node (experiment
 	// instrumentation: "type_gc closures constructed").
 	Built int64
@@ -73,13 +55,6 @@ func newBuilder() *builder {
 }
 
 func (b *builder) memo(key string, mk func(id int) TypeGC) TypeGC {
-	if m := b.snap.Load(); m != nil {
-		if g, ok := (*m)[key]; ok {
-			return g
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if g, ok := b.cache[key]; ok {
 		return g
 	}
@@ -88,21 +63,6 @@ func (b *builder) memo(key string, mk func(id int) TypeGC) TypeGC {
 	b.cache[key] = g
 	b.Built++
 	return g
-}
-
-// promote republishes the lock-free snapshot from the locked cache.
-func (b *builder) promote() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.cache) == b.promoted {
-		return
-	}
-	m := make(map[string]TypeGC, len(b.cache))
-	for k, v := range b.cache {
-		m[k] = v
-	}
-	b.snap.Store(&m)
-	b.promoted = len(m)
 }
 
 // Const returns the routine for unboxed values (const_gc in the paper).

@@ -52,10 +52,9 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 			v.walk(c.FromDesc(g.Desc, nil), globals[i])
 		}
 		var st Stats // resolution stats of the re-walk are discarded
-		sc := c.scratch0()
-		sc.reset() // the collection's own windows are dead by now
+		c.sc.reset() // the collection's own windows are dead by now
 		for i := range tasks {
-			for _, j := range c.taskJobs(tasks[i], &st, sc) {
+			for _, j := range c.taskJobs(tasks[i], &st) {
 				v.where = fmt.Sprintf("task %d stack slot %d", i, j.idx)
 				v.walk(j.g, tasks[i].Stack[j.idx])
 			}

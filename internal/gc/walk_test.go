@@ -107,7 +107,7 @@ func TestEnvTypeArgsFromRepWords(t *testing.T) {
 	c.Heap.SetField(clos, 0, code.EncodeInt(code.ReprTagFree, 7)) // code ptr
 	c.Heap.SetField(clos, 1, code.EncodeInt(code.ReprTagFree, int64(intListRep)))
 
-	env := c.envTypeArgs(fi, clos, nil, c.scratch0())
+	env := c.envTypeArgs(fi, clos, nil)
 	if len(env) != 1 {
 		t.Fatalf("env has %d entries", len(env))
 	}
@@ -135,7 +135,7 @@ func TestEnvTypeArgsFromDerivation(t *testing.T) {
 
 	clos := c.Heap.MustAlloc(1)
 	c.Heap.SetField(clos, 0, code.EncodeInt(code.ReprTagFree, 3))
-	env := c.envTypeArgs(fi, clos, ref, c.scratch0())
+	env := c.envTypeArgs(fi, clos, ref)
 	if env[0] != c.b.Const() {
 		t.Error("derivation dom→elem should reach const_gc for an int list domain")
 	}

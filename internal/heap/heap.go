@@ -97,10 +97,8 @@ type Heap struct {
 	// their start offsets, mark bits, exact-size free lists, and the sizes
 	// of swept gaps awaiting reuse.
 	objSize []int32
-	// marks holds one mark word per heap word (nonzero = marked). It is
-	// uint32 rather than bool so parallel marking can claim objects with an
-	// atomic compare-and-swap (VisitShared).
-	marks   []uint32
+	// marks holds one mark flag per heap word, set at object starts.
+	marks   []bool
 	free    map[int][]int
 	gapSize []int32
 	// debugAccess validates every field access against the mark/sweep
@@ -161,8 +159,8 @@ func New(repr code.Repr, semiWords int) *Heap {
 func (h *Heap) SemiWords() int { return h.semi }
 
 // MemSnapshot returns a copy of the heap's entire word array. Tests use it
-// to assert that two collection configurations (sequential vs parallel,
-// shuffled scan orders) leave bit-identical heaps.
+// to assert that two collection configurations (fast path on and off, say)
+// leave bit-identical heaps.
 func (h *Heap) MemSnapshot() []code.Word {
 	return append([]code.Word(nil), h.mem...)
 }
@@ -525,7 +523,7 @@ func (h *Heap) Grow(newWords int) error {
 		copy(mem, h.mem)
 		objSize := make([]int32, total)
 		copy(objSize, h.objSize)
-		marks := make([]uint32, total)
+		marks := make([]bool, total)
 		copy(marks, h.marks)
 		h.mem, h.objSize, h.marks = mem, objSize, marks
 		if h.gapSize != nil {

@@ -57,18 +57,16 @@ func concCycles(res *TaskResult) int {
 
 // TestDifferentialConcurrentTasks pins concurrent-on ≡ stop-the-world over
 // the whole multi-task corpus, across both suspension policies and the
-// TLAB shape, against both a sequential and a parallel-marking oracle.
+// TLAB shape.
 func TestDifferentialConcurrentTasks(t *testing.T) {
 	shapes := []struct {
-		name      string
-		allocs    bool
-		tlab      int
-		oraclePar int
+		name   string
+		allocs bool
+		tlab   int
 	}{
-		{"calls", false, 0, 1},
-		{"allocs", true, 0, 1},
-		{"tlab", false, 64, 1},
-		{"par-oracle", false, 0, 4},
+		{"calls", false, 0},
+		{"allocs", true, 0},
+		{"tlab", false, 64},
 	}
 	sawCycle := false
 	for _, w := range workloads.Tasking {
@@ -80,10 +78,8 @@ func TestDifferentialConcurrentTasks(t *testing.T) {
 					MarkSweep:       true,
 					SuspendAtAllocs: sh.allocs,
 					TLABWords:       sh.tlab,
-					Parallelism:     sh.oraclePar,
 				}
 				off := concTaskRun(t, w, opts)
-				opts.Parallelism = 1
 				opts.GCConcurrent = true
 				opts.ConcTriggerPct = 40
 				opts.ConcMarkBudget = 128
@@ -287,15 +283,14 @@ func TestConcurrentWatchdogAbort(t *testing.T) {
 }
 
 // TestConcurrentValidation pins the gating: concurrent marking requires
-// mark/sweep, a tag-free typed strategy, no nursery and no parallel
-// markers, on both execution paths.
+// mark/sweep, a tag-free typed strategy and no nursery, on both execution
+// paths.
 func TestConcurrentValidation(t *testing.T) {
 	src := `let main () = 7`
 	bad := []Options{
 		{Strategy: gc.StratCompiled, GCConcurrent: true},                                    // copying
 		{Strategy: gc.StratTagged, GCConcurrent: true},                                      // tagged (also not mark/sweep)
 		{Strategy: gc.StratCompiled, MarkSweep: true, GCConcurrent: true, NurseryWords: 64}, // nursery
-		{Strategy: gc.StratCompiled, MarkSweep: true, GCConcurrent: true, Parallelism: 4},   // parallel marking
 	}
 	for i, o := range bad {
 		if _, err := Run(src, o); err == nil {

@@ -9,8 +9,7 @@ import (
 )
 
 // Fast-path differential suite at the pipeline level: every corpus
-// workload, every legal (strategy, discipline) pair, sequential and
-// parallel, runs twice — once with the collection fast path and once with
+// workload, every legal (strategy, discipline) pair, runs twice — once with the collection fast path and once with
 // DisableGCFastPath (the uncached oracle) — under the post-collection
 // heap verifier. Both runs must compute the workload's known result and
 // retain exactly the same live words after every collection. The
@@ -28,27 +27,24 @@ func TestDifferentialFastPathCrossStrategy(t *testing.T) {
 					hw *= 2
 				}
 				var lives [][]int64
-				for _, par := range []int{1, 4} {
-					for _, disable := range []bool{true, false} {
-						res, err := Run(w.Source, Options{
-							Strategy:          cfg.Strat,
-							HeapWords:         hw,
-							MarkSweep:         cfg.MS,
-							Parallelism:       par,
-							DisableGCFastPath: disable,
-							VerifyHeap:        true,
-						})
-						if err != nil {
-							t.Fatalf("par=%d fast=%v: %v", par, !disable, err)
-						}
-						if res.Value != w.Expect {
-							t.Fatalf("par=%d fast=%v: result %d, want %d", par, !disable, res.Value, w.Expect)
-						}
-						if disable && (res.GCStats.PlanHits != 0 || res.GCStats.KernelWords != 0) {
-							t.Fatalf("par=%d: oracle run used the fast path: %+v", par, res.GCStats)
-						}
-						lives = append(lives, res.Telemetry.LiveWordsPerCollection())
+				for _, disable := range []bool{true, false} {
+					res, err := Run(w.Source, Options{
+						Strategy:          cfg.Strat,
+						HeapWords:         hw,
+						MarkSweep:         cfg.MS,
+						DisableGCFastPath: disable,
+						VerifyHeap:        true,
+					})
+					if err != nil {
+						t.Fatalf("fast=%v: %v", !disable, err)
 					}
+					if res.Value != w.Expect {
+						t.Fatalf("fast=%v: result %d, want %d", !disable, res.Value, w.Expect)
+					}
+					if disable && (res.GCStats.PlanHits != 0 || res.GCStats.KernelWords != 0) {
+						t.Fatalf("oracle run used the fast path: %+v", res.GCStats)
+					}
+					lives = append(lives, res.Telemetry.LiveWordsPerCollection())
 				}
 				for i := 1; i < len(lives); i++ {
 					if fmt.Sprint(lives[0]) != fmt.Sprint(lives[i]) {

@@ -36,7 +36,7 @@ type nurseryOutcome struct {
 // nurseryRun compiles and runs src under one nursery configuration with
 // the verifier enabled, then forces the final tenure-all collection so
 // live sets are comparable across configurations.
-func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, par, nurseryWords, promote int) nurseryOutcome {
+func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, nurseryWords, promote int) nurseryOutcome {
 	t.Helper()
 	prog, _, err := Build(src, Options{Strategy: strat})
 	if err != nil {
@@ -55,7 +55,6 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Col.Parallelism = par
 	m.Col.Verify = true
 	m.Heap.SetVerify(true)
 	m.MaxSteps = 500_000_000
@@ -63,7 +62,6 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 	if err != nil {
 		t.Fatalf("nursery=%d: %v", nurseryWords, err)
 	}
-	m.Col.Parallelism = 1
 	m.Heap.SetTenureAll(true)
 	m.Col.CollectFull(nil, m.Globals)
 	m.Heap.SetTenureAll(false)
@@ -77,28 +75,26 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 }
 
 // TestDifferentialNurseryWorkloads pins nursery-on ≡ nursery-off over the
-// whole workload corpus, across both disciplines, sequential and parallel
-// collection, and every tag-free strategy.
+// whole workload corpus, across both disciplines and every tag-free
+// strategy.
 func TestDifferentialNurseryWorkloads(t *testing.T) {
 	for _, w := range workloads.All {
 		for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
 			for _, ms := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%v/ms=%v", w.Name, strat, ms)
 				t.Run(name, func(t *testing.T) {
-					for _, par := range []int{1, 4} {
-						off := nurseryRun(t, w.Source, strat, w.HeapWords, ms, par, 0, 0)
-						on := nurseryRun(t, w.Source, strat, w.HeapWords, ms, par, 256, 2)
-						if off.value != w.Expect {
-							t.Fatalf("par=%d nursery off: result %d, want %d", par, off.value, w.Expect)
-						}
-						if on.value != off.value || on.output != off.output {
-							t.Fatalf("par=%d: nursery changed observable behavior: value %d vs %d, output %q vs %q",
-								par, on.value, off.value, on.output, off.output)
-						}
-						if on.liveWords != off.liveWords {
-							t.Fatalf("par=%d: final live heap diverges: nursery %d words, plain %d words",
-								par, on.liveWords, off.liveWords)
-						}
+					off := nurseryRun(t, w.Source, strat, w.HeapWords, ms, 0, 0)
+					on := nurseryRun(t, w.Source, strat, w.HeapWords, ms, 256, 2)
+					if off.value != w.Expect {
+						t.Fatalf("nursery off: result %d, want %d", off.value, w.Expect)
+					}
+					if on.value != off.value || on.output != off.output {
+						t.Fatalf("nursery changed observable behavior: value %d vs %d, output %q vs %q",
+							on.value, off.value, on.output, off.output)
+					}
+					if on.liveWords != off.liveWords {
+						t.Fatalf("final live heap diverges: nursery %d words, plain %d words",
+							on.liveWords, off.liveWords)
 					}
 				})
 			}
@@ -107,7 +103,7 @@ func TestDifferentialNurseryWorkloads(t *testing.T) {
 }
 
 // TestDifferentialNurseryTasks runs the multi-task corpus with and without
-// the nursery under both disciplines and parallel collection, requiring
+// the nursery under both disciplines, requiring
 // identical per-task results and outputs. taskmutate is the write
 // barrier's antagonist: its whole point is repointing long-lived cells at
 // fresh nursery lists.
@@ -115,33 +111,30 @@ func TestDifferentialNurseryTasks(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ms=%v", w.Name, ms), func(t *testing.T) {
-				for _, par := range []int{1, 4} {
-					var results [][]int64
-					var outputs []string
-					for _, nursery := range []int{0, 256} {
-						res, err := RunTasks(w.Source, w.Entries, Options{
-							Strategy:     gc.StratCompiled,
-							HeapWords:    w.HeapWords,
-							MarkSweep:    ms,
-							Parallelism:  par,
-							VerifyHeap:   true,
-							NurseryWords: nursery,
-						})
-						if err != nil {
-							t.Fatalf("par=%d nursery=%d: %v", par, nursery, err)
-						}
-						for i, e := range w.Expect {
-							if res.Values[i] != e {
-								t.Fatalf("par=%d nursery=%d: task %d = %d, want %d",
-									par, nursery, i, res.Values[i], e)
-							}
-						}
-						results = append(results, res.Values)
-						outputs = append(outputs, strings.Join(res.Outputs, "\x00"))
+				var results [][]int64
+				var outputs []string
+				for _, nursery := range []int{0, 256} {
+					res, err := RunTasks(w.Source, w.Entries, Options{
+						Strategy:     gc.StratCompiled,
+						HeapWords:    w.HeapWords,
+						MarkSweep:    ms,
+						VerifyHeap:   true,
+						NurseryWords: nursery,
+					})
+					if err != nil {
+						t.Fatalf("nursery=%d: %v", nursery, err)
 					}
-					if fmt.Sprint(results[0]) != fmt.Sprint(results[1]) || outputs[0] != outputs[1] {
-						t.Fatalf("par=%d: nursery changed task results", par)
+					for i, e := range w.Expect {
+						if res.Values[i] != e {
+							t.Fatalf("nursery=%d: task %d = %d, want %d",
+								nursery, i, res.Values[i], e)
+						}
 					}
+					results = append(results, res.Values)
+					outputs = append(outputs, strings.Join(res.Outputs, "\x00"))
+				}
+				if fmt.Sprint(results[0]) != fmt.Sprint(results[1]) || outputs[0] != outputs[1] {
+					t.Fatalf("nursery changed task results")
 				}
 			})
 		}
@@ -241,7 +234,7 @@ func TestNurseryWriteBarrierFuzz(t *testing.T) {
 			for _, cfg := range []struct{ nursery, promote int }{
 				{96, 1}, {192, 3},
 			} {
-				out := nurseryRun(t, src, gc.StratCompiled, 2048, ms, 1, cfg.nursery, cfg.promote)
+				out := nurseryRun(t, src, gc.StratCompiled, 2048, ms, cfg.nursery, cfg.promote)
 				if out.value != want {
 					t.Fatalf("seed %d ms=%v nursery=%d: got %d, reference %d\nprogram:\n%s",
 						seed, ms, cfg.nursery, out.value, want, src)

@@ -6,7 +6,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"tagfree/internal/code"
 	"tagfree/internal/compile/codegen"
@@ -51,10 +50,9 @@ type Options struct {
 	// SuspendAtAllocs selects the paper's first §4 suspension policy for
 	// tasking runs: Rgc is checked only inside allocation routines.
 	SuspendAtAllocs bool
-	// Parallelism is the number of workers scanning task stacks during
-	// each collection (0 or 1 = the sequential oracle). Parallel and
-	// sequential collections produce bit-identical heaps; see
-	// internal/gc/parallel.go.
+	// Parallelism must be 0 or 1: one collector traces every task stack.
+	// It remains for callers that pin the sequential collector explicitly;
+	// any other value is an error.
 	Parallelism int
 	// DisableGCFastPath turns off the Compiled strategy's collection fast
 	// path (frame-plan cache, pc→site cache, specialized trace kernels —
@@ -79,11 +77,6 @@ type Options struct {
 	// MaxHeapWords (0 = unbounded) is its hard ceiling in semispace words.
 	GrowFactor   float64
 	MaxHeapWords int
-	// WorkerDelay stalls each parallel GC worker before scanning;
-	// Watchdog bounds the parallel phase, falling back to the sequential
-	// oracle when exceeded. Fault-injection knobs for testing.
-	WorkerDelay time.Duration
-	Watchdog    time.Duration
 	// NurseryWords > 0 enables a generational bump-allocated nursery of
 	// NurseryWords words per young half in front of the old region(s).
 	// Minor collections evacuate only the nursery, re-tracing stacks and
@@ -143,8 +136,8 @@ type Options struct {
 	// spine can ever be walked again, and eligible collections replace the
 	// provably dead element fields with a sentinel instead of retaining
 	// them (internal/gc/liveness.go). Compiled strategy only; ineligible
-	// collections (other strategies, fast path off, parallel trace, shard
-	// minors, concurrent cycles) degrade to full tracing with the refusal
+	// collections (other strategies, fast path off, shard minors,
+	// concurrent cycles) degrade to full tracing with the refusal
 	// counted in Result.Liveness.
 	GCHeapLiveness bool
 	// PoisonPruned (-poison-pruned) turns any mutator load of the pruning
@@ -158,8 +151,8 @@ type Options struct {
 // validateConcurrent checks the -gc-concurrent gating common to both
 // execution paths: the incremental marker only exists for the mark/sweep
 // discipline, needs typed frame maps (the tagged baseline has none of the
-// store descriptors the barrier relies on), and composes with neither the
-// nursery (minor cycles move objects mid-mark) nor the parallel markers.
+// store descriptors the barrier relies on), and does not compose with the
+// nursery (minor cycles move objects mid-mark).
 func (o Options) validateConcurrent() error {
 	if !o.GCConcurrent {
 		return nil
@@ -172,9 +165,6 @@ func (o Options) validateConcurrent() error {
 	}
 	if o.NurseryWords > 0 {
 		return fmt.Errorf("-gc-concurrent does not compose with the generational nursery")
-	}
-	if o.Parallelism > 1 {
-		return fmt.Errorf("-gc-concurrent does not compose with parallel marking (-par)")
 	}
 	return nil
 }
@@ -203,17 +193,14 @@ func (o Options) validateShards() error {
 // faultPlan assembles the fault-injection plan implied by the options, or
 // nil when no fault knob is set.
 func (o Options) faultPlan() *gc.FaultPlan {
-	if !o.Torture && o.FailAllocNth == 0 && o.FailAllocEvery == 0 &&
-		o.WorkerDelay == 0 && o.Watchdog == 0 {
+	if !o.Torture && o.FailAllocNth == 0 && o.FailAllocEvery == 0 {
 		return nil
 	}
 	return &gc.FaultPlan{
-		Torture:     o.Torture,
-		FailNth:     o.FailAllocNth,
-		FailEvery:   o.FailAllocEvery,
-		WorkerDelay: o.WorkerDelay,
-		Watchdog:    o.Watchdog,
-		RefillOnly:  o.FailRefillsOnly,
+		Torture:    o.Torture,
+		FailNth:    o.FailAllocNth,
+		FailEvery:  o.FailAllocEvery,
+		RefillOnly: o.FailRefillsOnly,
 	}
 }
 
@@ -266,6 +253,12 @@ func Build(src string, opts Options) (*code.Program, *gcanal.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return compileIR(irp, opts)
+}
+
+// compileIR is Build after the front end: the GC-possible analysis, the
+// optional heap-liveness analysis and code generation over lowered IR.
+func compileIR(irp *ir.Program, opts Options) (*code.Program, *gcanal.Result, error) {
 	var anal *gcanal.Result
 	if opts.UseCFA {
 		anal = gcanal.AnalyzeCFA(irp)
@@ -371,6 +364,9 @@ func newMachine(prog *code.Program, opts Options) (*vm.VM, error) {
 // every runtime option wired, but no tasks spawned. Single-task programs
 // and task groups both start here.
 func newGroup(prog *code.Program, opts Options) (*tasking.Group, error) {
+	if opts.Parallelism < 0 || opts.Parallelism > 1 {
+		return nil, fmt.Errorf("collection is sequential: Parallelism must be 0 or 1, got %d", opts.Parallelism)
+	}
 	semi := opts.HeapWords
 	if semi == 0 {
 		semi = 1 << 16
@@ -406,7 +402,6 @@ func newGroup(prog *code.Program, opts Options) (*tasking.Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Col.Parallelism = opts.Parallelism
 	g.Col.DisableFastPath = opts.DisableGCFastPath
 	g.Col.Faults = opts.faultPlan()
 	if opts.VerifyHeap {

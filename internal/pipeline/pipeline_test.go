@@ -414,6 +414,24 @@ let main () = length (upto 10000)
 	}
 }
 
+// TestParallelismValidated pins that collection is sequential: 0 and 1
+// run, and any other Parallelism is rejected on both execution paths.
+func TestParallelismValidated(t *testing.T) {
+	for _, par := range []int{0, 1} {
+		if _, err := Run(`let main () = 7`, Options{Parallelism: par}); err != nil {
+			t.Errorf("Parallelism %d rejected: %v", par, err)
+		}
+	}
+	for _, par := range []int{-1, 2, 4} {
+		if _, err := Run(`let main () = 7`, Options{Parallelism: par}); err == nil {
+			t.Errorf("Run accepted Parallelism %d", par)
+		}
+		if _, _, err := BuildTaskGroup(`let task_a () = 7`, []string{"task_a"}, Options{Parallelism: par}); err == nil {
+			t.Errorf("BuildTaskGroup accepted Parallelism %d", par)
+		}
+	}
+}
+
 func TestMatchFailureReported(t *testing.T) {
 	src := `
 let head xs = match xs with | x :: _ -> x

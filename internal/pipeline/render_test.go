@@ -127,12 +127,12 @@ func TestTelemetryTableGoldenCopying(t *testing.T) {
 	}
 	got := TelemetryTable(res.Telemetry, TelemetryOptions{OmitTiming: true})
 	want := `gc telemetry: strategy=compiled kind=copying collections=5
-seq  par  before  live  surv%  words  frames  slots  flhit%
-  0    1     256    16    6.2     16      29      1       -
-  1    1     256    16    6.2     16      33      1       -
-  2    1     256    16    6.2     16      37      1       -
-  3    1     256    16    6.2     16      41      1       -
-  4    1     256    16    6.2     16      45      1       -
+seq  before  live  surv%  words  frames  slots  flhit%
+  0     256    16    6.2     16      29      1       -
+  1     256    16    6.2     16      33      1       -
+  2     256    16    6.2     16      37      1       -
+  3     256    16    6.2     16      41      1       -
+  4     256    16    6.2     16      45      1       -
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
 `
@@ -151,12 +151,12 @@ func TestTelemetryTableGoldenMarkSweep(t *testing.T) {
 	// pristine bump region) then goes to 100: after the first sweep every
 	// allocation recycles an exact-size free block.
 	want := `gc telemetry: strategy=compiled kind=mark/sweep collections=5
-seq  par  before  live  surv%  words  frames  slots  flhit%
-  0    1     256    16    6.2     16      29      1     0.0
-  1    1     256    16    6.2     16      33      1   100.0
-  2    1     256    16    6.2     16      37      1   100.0
-  3    1     256    16    6.2     16      41      1   100.0
-  4    1     256    16    6.2     16      45      1   100.0
+seq  before  live  surv%  words  frames  slots  flhit%
+  0     256    16    6.2     16      29      1     0.0
+  1     256    16    6.2     16      33      1   100.0
+  2     256    16    6.2     16      37      1   100.0
+  3     256    16    6.2     16      41      1   100.0
+  4     256    16    6.2     16      45      1   100.0
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
 `
@@ -191,16 +191,16 @@ let main () =
 	}
 	got := TelemetryTable(res.Telemetry, TelemetryOptions{OmitTiming: true})
 	want := `gc telemetry: strategy=compiled kind=copying collections=9
-seq   kind  par  before  live  surv%  words  frames  slots  flhit%  prom  rem  barrier
-  0  minor    1      63    23   36.5     23      13      2       -     0    0        0
-  1  minor    1      63    23   36.5     23      14      2       -     3    0        0
-  2  minor    1      67    27   40.3     24      13      2       -     0    0        0
-  3  minor    1      67    27   40.3     24      14      2       -     0    0        0
-  4  minor    1      67    27   40.3     24      20      3       -     0    1        1
-  5  minor    1      67    27   40.3     24      21      3       -    20    0        0
-  6  minor    1      87    47   54.0     24      12      2       -     0    0        0
-  7  minor    1      87    47   54.0     24      13      2       -     0    0        0
-  8  minor    1      87    47   54.0     24      14      2       -     0    0        0
+seq   kind  before  live  surv%  words  frames  slots  flhit%  prom  rem  barrier
+  0  minor      63    23   36.5     23      13      2       -     0    0        0
+  1  minor      63    23   36.5     23      14      2       -     3    0        0
+  2  minor      67    27   40.3     24      13      2       -     0    0        0
+  3  minor      67    27   40.3     24      14      2       -     0    0        0
+  4  minor      67    27   40.3     24      20      3       -     0    1        1
+  5  minor      67    27   40.3     24      21      3       -    20    0        0
+  6  minor      87    47   54.0     24      12      2       -     0    0        0
+  7  minor      87    47   54.0     24      13      2       -     0    0        0
+  8  minor      87    47   54.0     24      14      2       -     0    0        0
 survivor histogram: 30-40%=2 40-50%=4 50-60%=3
 fast path: plan-hits=128 plan-misses=6 site-cache-hits=128 kernel-words=168
 `
@@ -232,12 +232,12 @@ let task_b () = let _ = churn 6 in sum (upto 20)
 	}
 	got := TelemetryTable(res.Telemetry, TelemetryOptions{OmitTiming: true})
 	want := `gc telemetry: strategy=compiled kind=copying collections=1
-seq  par  before  live  surv%  words  frames  slots  flhit%  refills  fast  shared  waste
-  0    1     496    16    3.2     16       8      1       -       16   248      17      0
+seq  before  live  surv%  words  frames  slots  flhit%  refills  fast  shared  waste
+  0     496    16    3.2     16       8      1       -       16   248      17      0
 survivor histogram: 0-10%=1
 fast path: plan-hits=4 plan-misses=4 site-cache-hits=4 kernel-words=16
 tlab: refills=19 refill-words=608 fast-allocs=270 shared-allocs=20 waste-words=28 returned-words=40 shared-ratio=0.069
-resilience: injected-ooms=0 torture-collections=0 emergency-collections=1 ladder-recovered=1 ladder-exhausted=0 heap-growths=0 watchdog-trips=0 serial-fallbacks=0 task-faults=0 budget-faults=0 conc-aborts=0
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=1 ladder-recovered=1 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0 conc-aborts=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -261,7 +261,6 @@ func TestTelemetryJSONGolden(t *testing.T) {
     {
       "seq": 0,
       "pause_ns": 0,
-      "parallelism": 1,
       "used_before": 256,
       "live_words": 16,
       "survivor_pct": 6.25,

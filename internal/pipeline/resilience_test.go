@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/workloads"
@@ -13,8 +12,7 @@ import (
 
 // Memory-pressure resilience tests: drive both heap disciplines to
 // exhaustion at every rung of the recovery ladder (collect rescues, growth
-// rescues, fault isolates) under sequential and parallel collection, and
-// require the surviving tasks' results and outputs to be bit-identical to
+// rescues, fault isolates), and require the surviving tasks' results and outputs to be bit-identical to
 // a run that never saw the pressure. The post-collection heap verifier is
 // on throughout: any rung that corrupts the heap panics the test.
 
@@ -144,54 +142,51 @@ func TestRecoveryLadderRungs(t *testing.T) {
 
 	for _, d := range ladderDisciplines {
 		for _, rung := range rungs {
-			for _, par := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/par=%d", d.name, rung.name, par), func(t *testing.T) {
-					opts := Options{
-						Strategy:    gc.StratCompiled,
-						HeapWords:   1024,
-						MarkSweep:   d.ms,
-						Parallelism: par,
-						VerifyHeap:  true,
+			t.Run(fmt.Sprintf("%s/%s", d.name, rung.name), func(t *testing.T) {
+				opts := Options{
+					Strategy:   gc.StratCompiled,
+					HeapWords:  1024,
+					MarkSweep:  d.ms,
+					VerifyHeap: true,
+				}
+				rung.opts(&opts)
+				res, err := RunTasks(ladderSrc, []string{"greedy", "mod_a", "mod_b"}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rung.wantFault {
+					f := res.Faults[0]
+					if f == nil {
+						t.Fatalf("greedy task did not fault; values %v", res.Values)
 					}
-					rung.opts(&opts)
-					res, err := RunTasks(ladderSrc, []string{"greedy", "mod_a", "mod_b"}, opts)
-					if err != nil {
-						t.Fatal(err)
+					if !strings.Contains(f.Error(), "heap exhausted") {
+						t.Fatalf("fault does not carry the OOM cause: %v", f)
 					}
-					if rung.wantFault {
-						f := res.Faults[0]
-						if f == nil {
-							t.Fatalf("greedy task did not fault; values %v", res.Values)
-						}
-						if !strings.Contains(f.Error(), "heap exhausted") {
-							t.Fatalf("fault does not carry the OOM cause: %v", f)
-						}
-						if len(f.Frames) == 0 {
-							t.Fatalf("fault lacks a backtrace: %v", f)
-						}
-					} else if res.Faults[0] != nil {
-						t.Fatalf("greedy task faulted: %v", res.Faults[0])
-					} else if res.Values[0] != 4000 {
-						t.Fatalf("greedy result %d, want 4000", res.Values[0])
+					if len(f.Frames) == 0 {
+						t.Fatalf("fault lacks a backtrace: %v", f)
 					}
-					// The surviving modest tasks must match the uncontended
-					// baseline bit for bit.
-					base := baselines[d.name]
-					for i := 0; i < 2; i++ {
-						if res.Faults[1+i] != nil {
-							t.Fatalf("modest task %d faulted: %v", i, res.Faults[1+i])
-						}
-						if res.Values[1+i] != base.values[i] {
-							t.Fatalf("modest task %d = %d, uncontended %d",
-								i, res.Values[1+i], base.values[i])
-						}
-						if res.Outputs[1+i] != base.outputs[i] {
-							t.Fatalf("modest task %d output diverges from uncontended run", i)
-						}
+				} else if res.Faults[0] != nil {
+					t.Fatalf("greedy task faulted: %v", res.Faults[0])
+				} else if res.Values[0] != 4000 {
+					t.Fatalf("greedy result %d, want 4000", res.Values[0])
+				}
+				// The surviving modest tasks must match the uncontended
+				// baseline bit for bit.
+				base := baselines[d.name]
+				for i := 0; i < 2; i++ {
+					if res.Faults[1+i] != nil {
+						t.Fatalf("modest task %d faulted: %v", i, res.Faults[1+i])
 					}
-					rung.check(t, res)
-				})
-			}
+					if res.Values[1+i] != base.values[i] {
+						t.Fatalf("modest task %d = %d, uncontended %d",
+							i, res.Values[1+i], base.values[i])
+					}
+					if res.Outputs[1+i] != base.outputs[i] {
+						t.Fatalf("modest task %d output diverges from uncontended run", i)
+					}
+				}
+				rung.check(t, res)
+			})
 		}
 	}
 }
@@ -213,7 +208,7 @@ let boxes () = (let r = ref 5 in (r := !r + sum (upto 6); !r))
 
 // TestTortureDifferentialTasking runs a compact multi-task workload with a
 // collection before every allocation and the heap verifier on, across
-// every legal strategy × discipline × parallelism. Results must match a
+// every legal strategy × discipline. Results must match a
 // torture-free run — torture moves every collection point, so this
 // exercises safe-point bookkeeping at every allocation site. The full
 // corpus variant is TestTortureCorpusFull (tier2-torture).
@@ -227,26 +222,23 @@ func TestTortureDifferentialTasking(t *testing.T) {
 	}
 	for _, cfg := range diffConfigs() {
 		t.Run(fmt.Sprintf("%v/ms=%v", cfg.Strat, cfg.MS), func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				res, err := RunTasks(tortureTaskSrc, entries, Options{
-					Strategy:    cfg.Strat,
-					HeapWords:   1024,
-					MarkSweep:   cfg.MS,
-					Parallelism: par,
-					VerifyHeap:  true,
-					Torture:     true,
-				})
-				if err != nil {
-					t.Fatalf("par=%d: %v", par, err)
+			res, err := RunTasks(tortureTaskSrc, entries, Options{
+				Strategy:   cfg.Strat,
+				HeapWords:  1024,
+				MarkSweep:  cfg.MS,
+				VerifyHeap: true,
+				Torture:    true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range ref.Values {
+				if res.Values[i] != e {
+					t.Fatalf("task %d = %d, want %d", i, res.Values[i], e)
 				}
-				for i, e := range ref.Values {
-					if res.Values[i] != e {
-						t.Fatalf("par=%d: task %d = %d, want %d", par, i, res.Values[i], e)
-					}
-				}
-				if res.Telemetry.Resilience.TortureCollections == 0 {
-					t.Fatalf("par=%d: torture mode never collected", par)
-				}
+			}
+			if res.Telemetry.Resilience.TortureCollections == 0 {
+				t.Fatal("torture mode never collected")
 			}
 		})
 	}
@@ -327,78 +319,25 @@ func TestTortureCorpusFull(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for _, cfg := range diffConfigs() {
 			t.Run(fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS), func(t *testing.T) {
-				for _, par := range []int{1, 4} {
-					res, err := RunTasks(w.Source, w.Entries, Options{
-						Strategy:    cfg.Strat,
-						HeapWords:   w.HeapWords,
-						MarkSweep:   cfg.MS,
-						Parallelism: par,
-						VerifyHeap:  true,
-						Torture:     true,
-					})
-					if err != nil {
-						t.Fatalf("par=%d: %v", par, err)
+				res, err := RunTasks(w.Source, w.Entries, Options{
+					Strategy:   cfg.Strat,
+					HeapWords:  w.HeapWords,
+					MarkSweep:  cfg.MS,
+					VerifyHeap: true,
+					Torture:    true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, e := range w.Expect {
+					if res.Values[i] != e {
+						t.Fatalf("task %d = %d, want %d", i, res.Values[i], e)
 					}
-					for i, e := range w.Expect {
-						if res.Values[i] != e {
-							t.Fatalf("par=%d: task %d = %d, want %d", par, i, res.Values[i], e)
-						}
-					}
-					if res.Telemetry.Resilience.TortureCollections == 0 {
-						t.Fatalf("par=%d: torture mode never collected", par)
-					}
+				}
+				if res.Telemetry.Resilience.TortureCollections == 0 {
+					t.Fatal("torture mode never collected")
 				}
 			})
 		}
-	}
-}
-
-// TestWatchdogSerialFallback stalls every parallel worker far past the
-// watchdog: each collection's parallel phase must be aborted and redone by
-// the sequential oracle, with results and per-collection live words
-// identical to a run that never went parallel.
-func TestWatchdogSerialFallback(t *testing.T) {
-	w, ok := workloads.TaskByName("taskchurn")
-	if !ok {
-		t.Fatal("taskchurn workload missing")
-	}
-	for _, ms := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ms=%v", ms), func(t *testing.T) {
-			base, err := RunTasks(w.Source, w.Entries, Options{
-				Strategy:   gc.StratCompiled,
-				HeapWords:  w.HeapWords,
-				MarkSweep:  ms,
-				VerifyHeap: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunTasks(w.Source, w.Entries, Options{
-				Strategy:    gc.StratCompiled,
-				HeapWords:   w.HeapWords,
-				MarkSweep:   ms,
-				Parallelism: 4,
-				VerifyHeap:  true,
-				WorkerDelay: 30 * time.Millisecond,
-				Watchdog:    time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range w.Expect {
-				if res.Values[i] != e {
-					t.Fatalf("task %d = %d, want %d", i, res.Values[i], e)
-				}
-			}
-			rs := res.Telemetry.Resilience
-			if rs.WatchdogTrips == 0 || rs.SerialFallbacks == 0 {
-				t.Fatalf("watchdog never tripped: %+v", rs)
-			}
-			seq := fmt.Sprint(base.Telemetry.LiveWordsPerCollection())
-			par := fmt.Sprint(res.Telemetry.LiveWordsPerCollection())
-			if seq != par {
-				t.Fatalf("fallback diverges from sequential oracle:\n  seq %s\n  par %s", seq, par)
-			}
-		})
 	}
 }

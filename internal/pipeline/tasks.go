@@ -6,7 +6,6 @@ import (
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
 	"tagfree/internal/heap"
-	"tagfree/internal/mlang/types"
 	"tagfree/internal/tasking"
 )
 
@@ -60,11 +59,9 @@ func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Gro
 			return nil, nil, fmt.Errorf("tasking: entry %s has type %s, need unit -> int", name, s)
 		}
 	}
-	_ = irp
-
 	buildOpts := opts
 	buildOpts.DisableGCWordElision = true
-	prog, _, err := Build(src, buildOpts)
+	prog, _, err := compileIR(irp, buildOpts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,5 +119,3 @@ func RunTasks(src string, entryNames []string, opts Options) (*TaskResult, error
 	}
 	return res, nil
 }
-
-var _ = types.TypeString // keep the types import for the scheme check API

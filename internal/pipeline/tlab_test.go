@@ -58,7 +58,6 @@ func tlabTaskRun(t *testing.T, w workloads.TaskWorkload, opts Options) tlabOutco
 	sig := g.Col.LiveSignature(g.Globals)
 	// Tasks have returned, so globals are the only roots; a tenure-all full
 	// collection leaves a layout determined by the trace alone.
-	g.Col.Parallelism = 1
 	if opts.NurseryWords > 0 {
 		g.Heap.SetTenureAll(true)
 	}
@@ -76,17 +75,15 @@ func tlabTaskRun(t *testing.T, w workloads.TaskWorkload, opts Options) tlabOutco
 func joinOutputs(res *TaskResult) string { return strings.Join(res.Outputs, "\x00") }
 
 // TestDifferentialTLABTasks pins tlab-on ≡ tlab-off over the whole
-// multi-task corpus, across both disciplines and three runtime shapes
-// (sequential, parallel collection, generational nursery).
+// multi-task corpus, across both disciplines and two runtime shapes
+// (plain heap, generational nursery).
 func TestDifferentialTLABTasks(t *testing.T) {
 	shapes := []struct {
 		name    string
-		par     int
 		nursery int
 	}{
-		{"seq", 1, 0},
-		{"par4", 4, 0},
-		{"nursery", 1, 256},
+		{"plain", 0},
+		{"nursery", 256},
 	}
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
@@ -97,7 +94,6 @@ func TestDifferentialTLABTasks(t *testing.T) {
 						Strategy:     gc.StratCompiled,
 						HeapWords:    w.HeapWords,
 						MarkSweep:    ms,
-						Parallelism:  sh.par,
 						NurseryWords: sh.nursery,
 					}
 					off := tlabTaskRun(t, w, opts)

@@ -23,14 +23,13 @@ import (
 // configuration.
 type Cell struct {
 	// Scenario and Name identify the cell; Name is
-	// "<scenario>/<strategy>/<discipline-key>/par<k>".
+	// "<scenario>/<strategy>/<discipline-key>".
 	Scenario string
 	Name     string
 
 	Workload   workloads.TaskWorkload
 	Strategy   gc.Strategy
 	Discipline Discipline
-	Par        int
 	// Shards is the heap shard count (1 = the unsharded heap). When the
 	// scenario sets the shards key, the cell name carries a "/sh<k>"
 	// suffix; otherwise names keep their historical shape.
@@ -83,10 +82,8 @@ func Compile(scs []*Scenario) ([]Cell, error) {
 		}
 		for _, strat := range sc.Strategies {
 			for _, disc := range sc.Disciplines {
-				for _, par := range sc.Par {
-					for _, shards := range sc.Shards {
-						cells = append(cells, compileCell(sc, w, srv, strat, disc, par, shards))
-					}
+				for _, shards := range sc.Shards {
+					cells = append(cells, compileCell(sc, w, srv, strat, disc, shards))
 				}
 			}
 		}
@@ -131,9 +128,9 @@ func compileServe(sc *Scenario, w workloads.TaskWorkload) (*serve.Config, error)
 	}, nil
 }
 
-// compileCell resolves one (strategy, discipline, par, shards) point.
-func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, strat gc.Strategy, disc Discipline, par, shards int) Cell {
-	name := fmt.Sprintf("%s/%s/%s/par%d", sc.Name, strat, disc.Key(), par)
+// compileCell resolves one (strategy, discipline, shards) point.
+func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, strat gc.Strategy, disc Discipline, shards int) Cell {
+	name := fmt.Sprintf("%s/%s/%s", sc.Name, strat, disc.Key())
 	if _, set := sc.keyPos["shards"]; set {
 		name += fmt.Sprintf("/sh%d", shards)
 	}
@@ -143,7 +140,6 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		Workload:   w,
 		Strategy:   strat,
 		Discipline: disc,
-		Par:        par,
 		Shards:     shards,
 		Repeats:    sc.Repeats,
 		Serve:      srv,
@@ -151,7 +147,6 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 			Strategy:        strat,
 			HeapWords:       w.HeapWords,
 			MarkSweep:       disc == MarkSweep,
-			Parallelism:     par,
 			NurseryWords:    sc.NurseryWords,
 			PromoteAfter:    sc.PromoteAfter,
 			TLABWords:       sc.TLABWords,
@@ -190,9 +185,6 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		if sc.NurseryWords > 0 {
 			reasons = append(reasons, "concurrent marking requires the nursery off")
 		}
-		if par > 1 {
-			reasons = append(reasons, "concurrent marking uses a single incremental marker")
-		}
 	}
 	if shards > 1 {
 		if strat == gc.StratTagged {
@@ -206,8 +198,8 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		}
 	}
 	if sc.GCHeapLiveness && strat != gc.StratCompiled {
-		// Other out-of-envelope combinations (parallel collections, shard
-		// minors, concurrent cycles) run and degrade to full tracing with
+		// Other out-of-envelope combinations (shard minors, concurrent
+		// cycles) run and degrade to full tracing with
 		// the refusal counted in LivenessStats; only the strategy axis is a
 		// skip, because the pruning kernels exist solely in compiled mode.
 		reasons = append(reasons, "heap-liveness pruning requires the compiled strategy")

@@ -57,7 +57,7 @@ func FuzzScenarioParse(f *testing.F) {
 			if sc.Name == "" || sc.Workload == "" {
 				t.Fatalf("accepted scenario with empty name/workload: %+v", sc)
 			}
-			if len(sc.Strategies) == 0 || len(sc.Disciplines) == 0 || len(sc.Par) == 0 || sc.Repeats < 1 {
+			if len(sc.Strategies) == 0 || len(sc.Disciplines) == 0 || len(sc.Shards) == 0 || sc.Repeats < 1 {
 				t.Fatalf("accepted scenario with empty axis: %+v", sc)
 			}
 		}

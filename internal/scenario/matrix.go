@@ -29,8 +29,7 @@ type CellResult struct {
 	Workload string `json:"workload"`
 	Strategy string `json:"strategy"`
 	// Discipline is "copying" or "mark/sweep".
-	Discipline  string `json:"discipline"`
-	Parallelism int    `json:"parallelism"`
+	Discipline string `json:"discipline"`
 	// Shards is the heap shard count (omitted for the unsharded heap).
 	Shards  int `json:"shards,omitempty"`
 	Repeats int `json:"repeats"`
@@ -94,7 +93,6 @@ func runCell(c Cell) CellResult {
 		Workload:     c.Workload.Name,
 		Strategy:     c.Strategy.String(),
 		Discipline:   c.Discipline.String(),
-		Parallelism:  c.Par,
 		Shards:       c.Opts.Shards,
 		Repeats:      c.Repeats,
 		HeapWords:    c.Opts.HeapWords,
@@ -186,7 +184,7 @@ func runServeCell(c Cell, r CellResult) CellResult {
 // cell, grouped the way the cells were compiled (scenario order,
 // strategies varying slowest).
 func (s *Snapshot) Table() string {
-	header := []string{"scenario", "workload", "strategy", "discipline", "par",
+	header := []string{"scenario", "workload", "strategy", "discipline",
 		"ok", "gcs", "gc pause", "alloc words", "wall", "note"}
 	rows := make([][]string, 0, len(s.Runs))
 	for _, r := range s.Runs {
@@ -217,7 +215,7 @@ func (s *Snapshot) Table() string {
 			wall = time.Duration(r.RunNS).String()
 		}
 		rows = append(rows, []string{r.Scenario, r.Workload, r.Strategy, r.Discipline,
-			fmt.Sprint(r.Parallelism), ok, gcs, pause, alloc, wall, note})
+			ok, gcs, pause, alloc, wall, note})
 	}
 
 	widths := make([]int, len(header))

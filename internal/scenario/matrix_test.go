@@ -124,7 +124,7 @@ scenario multi {
 	// The doubly-out-of-envelope cells carry every reason in one row.
 	for _, r := range snap.Runs {
 		switch r.Name {
-		case "multi/compiled/marksweep/par1/sh2":
+		case "multi/compiled/marksweep/sh2":
 			for _, want := range []string{
 				"heap sharding requires a nursery",
 				"heap sharding does not compose with concurrent marking",
@@ -136,7 +136,7 @@ scenario multi {
 			if strings.Count(r.Skip, ";") != 1 {
 				t.Errorf("%s: want exactly 2 joined reasons, got %q", r.Name, r.Skip)
 			}
-		case "multi/tagged/marksweep/par1/sh1":
+		case "multi/tagged/marksweep/sh1":
 			for _, want := range []string{
 				"mark/sweep is implemented for the tag-free strategies",
 				"concurrent marking requires a tag-free strategy",

@@ -134,16 +134,13 @@ func (p *parser) parseScenario() (*Scenario, error) {
 	if len(sc.Disciplines) == 0 {
 		sc.Disciplines = []Discipline{Copying}
 	}
-	if len(sc.Par) == 0 {
-		sc.Par = []int{1}
-	}
 	if len(sc.Shards) == 0 {
 		sc.Shards = []int{1}
 	}
 	return sc, nil
 }
 
-const scenarioKeys = "workload, strategies, disciplines, par, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix"
+const scenarioKeys = "workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix"
 
 // parseStmt parses one `key values` statement inside a scenario body.
 func (p *parser) parseStmt(sc *Scenario) error {
@@ -202,26 +199,6 @@ func (p *parser) parseStmt(sc *Scenario) error {
 		}
 		if len(sc.Disciplines) == 0 {
 			return p.fail("expected at least one discipline, found %s", p.describe())
-		}
-	case "par":
-		for p.tok.Kind == INT {
-			n, err := p.intValue("par")
-			if err != nil {
-				return err
-			}
-			if n < 1 || n > maxPar {
-				return posErrorf(p.tok.Pos, "par %d out of range (1..%d)", n, maxPar)
-			}
-			for _, have := range sc.Par {
-				if have == n {
-					return posErrorf(p.tok.Pos, "duplicate par %d", n)
-				}
-			}
-			sc.Par = append(sc.Par, n)
-			p.advance()
-		}
-		if len(sc.Par) == 0 {
-			return p.fail("expected at least one worker count, found %s", p.describe())
 		}
 	case "shards":
 		for p.tok.Kind == INT {

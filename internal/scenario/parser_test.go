@@ -16,7 +16,6 @@ scenario kitchen-sink {
   workload    taskmutate
   strategies  compiled appel
   disciplines copying marksweep
-  par         1 4
   repeats     3
   heap        4096
   nursery     256
@@ -50,9 +49,6 @@ scenario kitchen-sink {
 	if want := []Discipline{Copying, MarkSweep}; !reflect.DeepEqual(sc.Disciplines, want) {
 		t.Errorf("disciplines = %v, want %v", sc.Disciplines, want)
 	}
-	if want := []int{1, 4}; !reflect.DeepEqual(sc.Par, want) {
-		t.Errorf("par = %v, want %v", sc.Par, want)
-	}
 	if sc.Repeats != 3 || sc.HeapWords != 4096 || sc.NurseryWords != 256 ||
 		sc.PromoteAfter != 3 || sc.TLABWords != 64 {
 		t.Errorf("knobs = %+v", sc)
@@ -78,8 +74,8 @@ func TestScenarioParseDefaults(t *testing.T) {
 	if want := []Discipline{Copying}; !reflect.DeepEqual(sc.Disciplines, want) {
 		t.Errorf("default disciplines = %v, want %v", sc.Disciplines, want)
 	}
-	if want := []int{1}; !reflect.DeepEqual(sc.Par, want) {
-		t.Errorf("default par = %v, want %v", sc.Par, want)
+	if want := []int{1}; !reflect.DeepEqual(sc.Shards, want) {
+		t.Errorf("default shards = %v, want %v", sc.Shards, want)
 	}
 	if sc.Repeats != 1 {
 		t.Errorf("default repeats = %d, want 1", sc.Repeats)
@@ -88,14 +84,13 @@ func TestScenarioParseDefaults(t *testing.T) {
 
 // TestScenarioGCConcurrent pins the gc_concurrent key: a bare boolean that
 // turns on incremental marking for the cells in its envelope (mark/sweep,
-// tag-free, par 1, no nursery) and reports every other cell as skipped.
+// tag-free, no nursery) and reports every other cell as skipped.
 func TestScenarioGCConcurrent(t *testing.T) {
 	scs, err := Parse(`
 scenario conc {
   workload    taskchurn
   strategies  compiled tagged
   disciplines copying marksweep
-  par         1 2
   gc_concurrent
 }
 `)
@@ -109,8 +104,8 @@ scenario conc {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if len(cells) != 8 {
-		t.Fatalf("got %d cells, want 8", len(cells))
+	if len(cells) != 4 {
+		t.Fatalf("got %d cells, want 4", len(cells))
 	}
 	var on, skipped int
 	for _, c := range cells {
@@ -119,7 +114,7 @@ scenario conc {
 			if c.Skip != "" {
 				t.Errorf("%s: skipped cell has GCConcurrent set", c.Name)
 			}
-			if c.Strategy != gc.StratCompiled || c.Discipline != MarkSweep || c.Par != 1 {
+			if c.Strategy != gc.StratCompiled || c.Discipline != MarkSweep {
 				t.Errorf("%s: concurrent marking outside its envelope", c.Name)
 			}
 		} else if c.Skip != "" {
@@ -129,10 +124,10 @@ scenario conc {
 		}
 	}
 	if on != 1 {
-		t.Errorf("got %d concurrent cells, want exactly compiled/marksweep/par1", on)
+		t.Errorf("got %d concurrent cells, want exactly compiled/marksweep", on)
 	}
-	if skipped != 7 {
-		t.Errorf("got %d skipped cells, want 7", skipped)
+	if skipped != 3 {
+		t.Errorf("got %d skipped cells, want 3", skipped)
 	}
 }
 
@@ -147,7 +142,6 @@ scenario live {
   workload    taskspine
   strategies  compiled interp tagged
   disciplines copying marksweep
-  par         1 4
   gc_heap_liveness
   gc_concurrent
 }
@@ -162,8 +156,8 @@ scenario live {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if len(cells) != 12 {
-		t.Fatalf("got %d cells, want 12", len(cells))
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(cells))
 	}
 	var on int
 	for _, c := range cells {
@@ -184,21 +178,20 @@ scenario live {
 			t.Errorf("%s: skip %q does not name the liveness reason", c.Name, c.Skip)
 		}
 	}
-	// compiled × marksweep × par 1 is the one cell inside both envelopes;
-	// compiled copying/par4 cells carry only the concurrent skip.
+	// compiled × marksweep is the one cell inside both envelopes.
 	if on != 1 {
-		t.Errorf("got %d liveness cells, want exactly compiled/marksweep/par1", on)
+		t.Errorf("got %d liveness cells, want exactly compiled/marksweep", on)
 	}
 	// The tagged mark/sweep cell is out of the envelope on four counts:
 	// its skip must carry ALL reasons, "; "-joined, in one row.
 	var tagged *Cell
 	for i := range cells {
-		if cells[i].Strategy == gc.StratTagged && cells[i].Discipline == MarkSweep && cells[i].Par == 1 {
+		if cells[i].Strategy == gc.StratTagged && cells[i].Discipline == MarkSweep {
 			tagged = &cells[i]
 		}
 	}
 	if tagged == nil {
-		t.Fatal("no tagged/marksweep/par1 cell")
+		t.Fatal("no tagged/marksweep cell")
 	}
 	for _, reason := range []string{
 		"mark/sweep is implemented for the tag-free strategies",
@@ -226,7 +219,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "unknown key",
 			src:  "scenario x {\n  workload taskchurn\n  wrkload taskchurn\n}\n",
-			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, par, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix)`,
 		},
 		{
 			name: "bad strategy name",
@@ -264,13 +257,8 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 			want: `3:8: heap size 64 words out of range (128..67108864)`,
 		},
 		{
-			name: "par out of range",
-			src:  "scenario x {\n  workload taskchurn\n  par 0\n}\n",
-			want: `3:7: par 0 out of range (1..64)`,
-		},
-		{
 			name: "missing workload",
-			src:  "scenario empty {\n  par 1\n}\n",
+			src:  "scenario empty {\n  repeats 1\n}\n",
 			want: `1:1: scenario "empty" missing required key "workload"`,
 		},
 		{

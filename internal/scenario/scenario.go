@@ -2,8 +2,8 @@
 // declarative notation for GC benchmark scenarios, compiled into the
 // corpus-run machinery (pipeline.RunTasks) the experiments and telemetry
 // reports already use. A scenario names a task workload and the matrix
-// axes to cross it with — collection strategies, heap disciplines,
-// parallelism — plus the runtime knobs (heap, nursery, promotion, TLAB)
+// axes to cross it with — collection strategies, heap disciplines, heap
+// shards — plus the runtime knobs (heap, nursery, promotion, TLAB)
 // and a fault-injection block, plus gc_concurrent for incremental marking,
 // so that widening the evaluation no longer
 // means editing Go in internal/workloads: workloads stay code, but the
@@ -11,12 +11,11 @@
 //
 // A .tfs file holds one or more scenarios:
 //
-//	# taskchurn across every strategy and discipline, sequential and 4 workers.
+//	# taskchurn across every strategy and discipline.
 //	scenario churn-all {
 //	  workload    taskchurn
 //	  strategies  compiled interp appel tagged
 //	  disciplines copying marksweep
-//	  par         1 4
 //	  faults {
 //	    torture
 //	    verify-heap
@@ -31,7 +30,7 @@
 // configuration those tools would accept.
 //
 // Compile crosses the axes into matrix cells, one pipeline.Options per
-// (strategy, discipline, par); RunMatrix executes them and renders the
+// (strategy, discipline, shards); RunMatrix executes them and renders the
 // comparative report (an aligned table plus a tagfree-bench/v1 JSON
 // snapshot). Cells whose combination the runtime rejects by design
 // (mark/sweep or a nursery under the tagged baseline) are emitted as
@@ -48,7 +47,7 @@ import (
 
 // Scenario is one parsed scenario: a workload crossed with matrix axes
 // under shared runtime knobs. Zero-valued axes get defaults at parse time
-// (all strategies, copying discipline, par 1, one repeat); sizes default
+// (all strategies, copying discipline, one shard, one repeat); sizes default
 // to 0 = "use the workload's recommendation" (heap) or "off" (nursery,
 // tlab).
 type Scenario struct {
@@ -65,7 +64,6 @@ type Scenario struct {
 	// The matrix axes.
 	Strategies  []gc.Strategy
 	Disciplines []Discipline
-	Par         []int
 	// Shards crosses heap shard counts (task→shard partitioning with
 	// independent per-shard minor collections). Cells with shards > 1
 	// outside the sharding envelope (tag-free strategy, a nursery, no
@@ -83,7 +81,7 @@ type Scenario struct {
 
 	// GCConcurrent turns on incremental (mostly-concurrent) marking for
 	// the cells that support it — mark/sweep, tag-free strategy, no
-	// nursery, one marker. Cells outside that envelope become reported
+	// nursery. Cells outside that envelope become reported
 	// skips, like mark/sweep under the tagged baseline.
 	GCConcurrent bool
 
@@ -92,7 +90,7 @@ type Scenario struct {
 	// for the cells that can carry it. The descriptors are compiled-
 	// strategy kernels, so every other strategy's cells become reported
 	// skips; within the compiled strategy, out-of-envelope collections
-	// (parallel, shard minors, concurrent cycles) degrade to full
+	// (shard minors, concurrent cycles) degrade to full
 	// tracing at runtime with the refusal counted, not skipped here.
 	GCHeapLiveness bool
 
@@ -203,7 +201,6 @@ const (
 	maxNursery   = 1 << 22
 	minTLAB      = 8
 	maxTLAB      = 1 << 16
-	maxPar       = 64
 	maxShards    = 64
 	maxRepeats   = 100
 	maxPromote   = 64
