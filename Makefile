@@ -43,8 +43,10 @@
 .PHONY: tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness bench bench-json fuzz fuzz-scenario
 
 # perfbench/ is its own module (the repository benchmark), so the root
-# commands never compile it; tier1 vets and tests it separately.
+# commands never compile it; tier1 vets and tests it separately. tier1 also
+# fails when any Go file in the tree is not gofmt-clean.
 tier1:
+	test -z "$$(gofmt -l .)"
 	go build ./...
 	go vet ./...
 	go test ./...

@@ -66,9 +66,9 @@ func TestCLIBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "nosuch"},
 		{"-gc", "wizard"},
-		{"-mix", "req_tiny"},          // missing weight
-		{"-mix", "req_tiny:0"},        // non-positive weight
-		{"-period", "10"},             // open loop without -requests
+		{"-mix", "req_tiny"},   // missing weight
+		{"-mix", "req_tiny:0"}, // non-positive weight
+		{"-period", "10"},      // open loop without -requests
 		{"-mix", "nope:1", "-period", "10", "-requests", "1"}, // unknown entry
 		{"stray-arg"},
 	} {

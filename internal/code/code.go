@@ -93,7 +93,6 @@ const (
 	OpBuiltin             // dst, builtinId, atom
 	OpSetGlobal           // gidx, atom
 	OpMatchFail           // (no operands)
-	OpEnter               // (no operands) zero-fill frame slots (Appel/tagged modes)
 )
 
 // gc_word operand offsets from the opcode, per call/alloc opcode.
@@ -117,7 +116,7 @@ func GCWordOffset(op Op) int {
 // InstrLen returns the length in words of the instruction at pc.
 func InstrLen(codeArr []Word, pc int) int {
 	switch codeArr[pc] {
-	case OpHalt, OpMatchFail, OpEnter:
+	case OpHalt, OpMatchFail:
 		return 1
 	case OpRet, OpJmp:
 		return 2

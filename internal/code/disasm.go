@@ -15,7 +15,7 @@ var opNames = map[Op]string{
 	OpLdFld: "ldfld", OpStFld: "stfld", OpCall: "call", OpCallC: "callc",
 	OpMkRef: "mkref", OpMkTuple: "mktuple", OpMkBox: "mkbox",
 	OpMkClos: "mkclos", OpMkRep: "mkrep", OpBuiltin: "builtin",
-	OpSetGlobal: "setglobal", OpMatchFail: "matchfail", OpEnter: "enter",
+	OpSetGlobal: "setglobal", OpMatchFail: "matchfail",
 }
 
 // OpName returns the mnemonic of an opcode.

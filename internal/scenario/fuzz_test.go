@@ -30,16 +30,16 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("scenario x { workload \xff }")
 	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 3000\n    requests 40\n  }\n}")
 	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 3000\n    requests 40\n    queue 8\n    shed-heap 85\n    deadline 400000\n    budget-steps 50000\n  }\n  mix {\n    req_tiny 3\n    req_heavy 1\n  }\n}")
-	f.Add("scenario x {\n  workload taskserve\n  arrivals { requests 40 }\n}")   // missing period
-	f.Add("scenario x {\n  workload taskserve\n  mix { req_tiny 1 }\n}")         // mix without arrivals
-	f.Add("scenario x {\n  arrivals { period 1 period 2 requests 1 }\n}")        // duplicate key
-	f.Add("scenario x {\n  arrivals { period 1 requests 1 shed-heap 200 }\n}")   // watermark out of range
+	f.Add("scenario x {\n  workload taskserve\n  arrivals { requests 40 }\n}") // missing period
+	f.Add("scenario x {\n  workload taskserve\n  mix { req_tiny 1 }\n}")       // mix without arrivals
+	f.Add("scenario x {\n  arrivals { period 1 period 2 requests 1 }\n}")      // duplicate key
+	f.Add("scenario x {\n  arrivals { period 1 requests 1 shed-heap 200 }\n}") // watermark out of range
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 budget-steps 99999999999999999999 }\n}")
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 }\n  mix { req_tiny 0 }\n}")
 	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness\n}")
 	f.Add("scenario x {\n  workload taskspine\n  strategies tagged\n  disciplines marksweep\n  gc_heap_liveness\n  gc_concurrent\n}") // multi-reason skip cells
-	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness extra\n}") // key takes no argument
-	f.Add("scenario x {\n  gc_heap_liveness\n  gc_heap_liveness\n}")         // duplicate key
+	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness extra\n}")                                                          // key takes no argument
+	f.Add("scenario x {\n  gc_heap_liveness\n  gc_heap_liveness\n}")                                                                  // duplicate key
 
 	f.Fuzz(func(t *testing.T, src string) {
 		scs, err := Parse(src)

@@ -88,12 +88,12 @@ type Stats struct {
 	Arrivals     int64 `json:"arrivals"` // admission attempts incl. retries
 	Admitted     int64 `json:"admitted"`
 	Completed    int64 `json:"completed"`
-	Shed         int64 `json:"shed,omitempty"`         // shed events (queue or heap watermark)
-	ShedHeap     int64 `json:"shed_heap,omitempty"`    // the subset shed on heap occupancy
-	Retries      int64 `json:"retries,omitempty"`      // sheds that rescheduled
-	Dropped      int64 `json:"dropped,omitempty"`      // gave up after MaxRetries
-	Canceled     int64 `json:"canceled,omitempty"`     // deadline cancellations (rung 3)
-	Faulted      int64 `json:"faulted,omitempty"`      // other task faults (OOM ladder, budgets, runtime)
+	Shed         int64 `json:"shed,omitempty"`      // shed events (queue or heap watermark)
+	ShedHeap     int64 `json:"shed_heap,omitempty"` // the subset shed on heap occupancy
+	Retries      int64 `json:"retries,omitempty"`   // sheds that rescheduled
+	Dropped      int64 `json:"dropped,omitempty"`   // gave up after MaxRetries
+	Canceled     int64 `json:"canceled,omitempty"`  // deadline cancellations (rung 3)
+	Faulted      int64 `json:"faulted,omitempty"`   // other task faults (OOM ladder, budgets, runtime)
 	WrongResults int64 `json:"wrong_results,omitempty"`
 	ForcedMajors int64 `json:"forced_majors,omitempty"` // rung-2 escalations
 }
@@ -132,12 +132,12 @@ type request struct {
 
 // driver holds the open-loop run state threaded through the Tick hook.
 type driver struct {
-	cfg      Config
-	g        *tasking.Group
-	rng      *rand.Rand
-	waiting  []*request // issued, not yet admitted (future arrivals + backoffs)
-	queue    []*request // admitted queue
-	inflight []*request
+	cfg         Config
+	g           *tasking.Group
+	rng         *rand.Rand
+	waiting     []*request // issued, not yet admitted (future arrivals + backoffs)
+	queue       []*request // admitted queue
+	inflight    []*request
 	resolved    int
 	total       int
 	stats       *Stats
