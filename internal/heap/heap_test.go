@@ -54,6 +54,53 @@ func TestNeed(t *testing.T) {
 	}
 }
 
+// TestBumpMatchesAlloc checks that Bump allocates what Alloc would, at
+// the same address with the same counters, hands back the object's field
+// words, and counts nothing when a collection must run first.
+func TestBumpMatchesAlloc(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		new  func() *Heap
+	}{
+		{"tagfree", func() *Heap { return New(code.ReprTagFree, 12) }},
+		{"tagged", func() *Heap { return New(code.ReprTagged, 12) }},
+		{"marksweep", func() *Heap { return NewMarkSweep(code.ReprTagFree, 12) }},
+		{"nursery", func() *Heap {
+			h := New(code.ReprTagFree, 64)
+			h.EnableNursery(12, 2)
+			return h
+		}},
+	} {
+		bumped, alloced := mk.new(), mk.new()
+		for i := 0; ; i++ {
+			want, err := alloced.Alloc(3)
+			if err != nil {
+				before := bumped.Stats
+				if _, _, ok := bumped.Bump(3); ok {
+					t.Fatalf("%s: Bump succeeded where Alloc failed", mk.name)
+				}
+				if bumped.Stats != before {
+					t.Fatalf("%s: a failed Bump counted: %+v, was %+v", mk.name, bumped.Stats, before)
+				}
+				break
+			}
+			got, fields, ok := bumped.Bump(3)
+			if !ok || got != want || len(fields) != 3 {
+				t.Fatalf("%s: Bump #%d = %d, %d fields, %v; Alloc gave %d", mk.name, i, got, len(fields), ok, want)
+			}
+			fields[2] = code.Word(i + 7)
+			if bumped.Field(got, 2) != code.Word(i+7) {
+				t.Fatalf("%s: Bump's fields do not alias the object", mk.name)
+			}
+		}
+		alloced.Stats.SharedAllocs-- // Alloc counts its failed attempt
+		if bumped.Stats != alloced.Stats || bumped.Used() != alloced.Used() {
+			t.Fatalf("%s: Bump stats %+v used %d, Alloc stats %+v used %d",
+				mk.name, bumped.Stats, bumped.Used(), alloced.Stats, alloced.Used())
+		}
+	}
+}
+
 func TestCopyCollectTagFree(t *testing.T) {
 	h := New(code.ReprTagFree, 100)
 	p1 := h.MustAlloc(2)
